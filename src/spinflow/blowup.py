@@ -18,9 +18,9 @@ from scipy import ndimage
 
 from .charts import TORUS, GridChart, SpinorField
 from .conformal import rescale
-from .dirac import diff_x, diff_y
 from .errors import (ConfigurationError, DegenerateFitError, ExtractionError,
                      PreconditionError)
+from .green import gradient_magnitude
 from .spinors import energy, pointwise_norm
 
 
@@ -31,13 +31,7 @@ def _check_same_chart(fields):
 
 
 def _min_image_dist2(chart: GridChart, cx: float, cy: float):
-    X, Y = chart.grid()
-    dx = X - cx
-    dy = Y - cy
-    if chart.kind == TORUS:
-        Lx, Ly = chart.params
-        dx = (dx + 0.5 * Lx) % Lx - 0.5 * Lx
-        dy = (dy + 0.5 * Ly) % Ly - 0.5 * Ly
+    dx, dy = chart.min_image_offset(cx, cy)
     return dx * dx + dy * dy
 
 
@@ -69,6 +63,23 @@ class BlowupPoint:
     liminf_energy: float
 
 
+def _merge_across_seams(labels: np.ndarray, count: int) -> np.ndarray:
+    """Relabel torus clusters so that clusters touching across a seam share a
+    label: 8-neighbours, so a diagonal step across the seam counts."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    seams = [(labels[0], np.roll(labels[-1], d)) for d in (-1, 0, 1)]
+    seams += [(labels[:, 0], np.roll(labels[:, -1], d)) for d in (-1, 0, 1)]
+    a = np.concatenate([s[0] for s in seams])
+    b = np.concatenate([s[1] for s in seams])
+    touch = (a > 0) & (b > 0)
+    graph = coo_matrix((np.ones(int(touch.sum())), (a[touch], b[touch])),
+                       shape=(count + 1, count + 1))
+    _, component = connected_components(graph, directed=False)
+    return np.where(labels > 0, component[labels] + 1, 0)
+
+
 def _tail(sequence):
     return sequence[len(sequence) // 2:]
 
@@ -77,8 +88,9 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
     """Nodes whose tail-min local energy clears epsilon at every radius.
 
     Qualifying nodes cluster around each concentration point; each connected
-    cluster is reported once, represented by its strongest node (ties to the
-    smallest node index).  Output is ordered lexicographically by node index.
+    cluster (8-neighbours, wrapping across the seams on the torus) is reported
+    once, represented by its strongest node (ties to the smallest node index).
+    Output is ordered lexicographically by node index.
     """
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
@@ -97,8 +109,10 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
     if not qualifies.any():
         return []
     labels, count = ndimage.label(qualifies, structure=np.ones((3, 3), dtype=int))
+    if chart.kind == TORUS:
+        labels = _merge_across_seams(labels, count)
     points = []
-    for lab in range(1, count + 1):
+    for lab in np.unique(labels[labels > 0]):
         nodes = np.argwhere(labels == lab)
         vals = envelope[nodes[:, 0], nodes[:, 1]]
         best = nodes[np.argmax(vals)]          # argmax = first max in C order
@@ -222,10 +236,7 @@ def decay_profile(psi: SpinorField, radii, center=(0.0, 0.0),
         raise PreconditionError("need at least two radii")
     if min(radii) < 4.0 * chart.h:
         raise PreconditionError("smallest radius must be >= 4 h")
-    vx = diff_x(psi.values, chart)
-    vy = diff_y(psi.values, chart)
-    grad = np.sqrt(np.sum(vx.real ** 2 + vx.imag ** 2 + vy.real ** 2 + vy.imag ** 2,
-                          axis=(2, 3)))
+    grad = gradient_magnitude(psi)
     dens = (pointwise_norm(psi) ** 4 + grad ** (4.0 / 3.0)) * chart.weights
     d2 = _min_image_dist2(chart, center[0], center[1])
     values = []

@@ -5,7 +5,9 @@ A chart is a uniform grid over one of five flat domains:
 * ``torus``    -- ``[0, Lx) x [0, Ly)``, periodic, carries one of the four
   spin structures ``PP | PA | AP | AA`` (P = periodic, A = antiperiodic,
   x-cycle first).  Antiperiodic sections are stored trivialized on the
-  fundamental domain; wrap-around sign flips live in the operators.
+  fundamental domain; wrap-around sign flips live in the operators, which
+  read the structure only through ``GridChart.spin_shifts``.  Distances on
+  the torus are minimum-image distances (``GridChart.min_image_offset``).
 * ``disk``     -- nodes of a square grid with ``|x| <= R``; the active set
   splits into inside nodes and a closed ring of boundary nodes.
 * ``rect``     -- a rectangle, endpoints included, no periodicity.
@@ -150,9 +152,33 @@ class GridChart:
             raise ConfigurationError("chart has no y period")
         return self.params[1]
 
+    @property
+    def spin_shifts(self) -> tuple:
+        """Frequency shifts (sx, sy) in {0, 1/2} of the spin structure.
+
+        An antiperiodic cycle ("A") shifts its frequencies by 1/2, so a section
+        picks up the sign exp(2 pi i s) = -1 when wrapping once around it.
+        Charts without a spin structure get (0, 0).
+        """
+        return tuple(0.5 if c == "A" else 0.0 for c in self.spin_structure or "PP")
+
     def grid(self):
         """Meshgrid coordinates with shape (ny, nx)."""
         return np.meshgrid(self.xs, self.ys)
+
+    def min_image_offset(self, cx: float, cy: float):
+        """Offsets (dx, dy) of every node from the point (cx, cy), shape (ny, nx).
+
+        On the torus each offset is the minimum image, in [-L/2, L/2); other
+        charts return the plain coordinate differences.
+        """
+        X, Y = self.grid()
+        dx, dy = X - cx, Y - cy
+        if self.kind == TORUS:
+            Lx, Ly = self.params
+            dx = (dx + 0.5 * Lx) % Lx - 0.5 * Lx
+            dy = (dy + 0.5 * Ly) % Ly - 0.5 * Ly
+        return dx, dy
 
     @cached_property
     def mask(self) -> np.ndarray:

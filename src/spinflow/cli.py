@@ -19,6 +19,7 @@ Exit codes: 0 success; 1 verification failure; 2 configuration error;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from .fieldfile import read_field, write_field
 from .fields import compact_bump_field, torus_mode_field
 from .reactions import ScalarH
 from .solve import newton_refine, picard_solve, residual, smallness_margin
-from .spinors import CliffordRep, chirality_project, energy
+from .spinors import CliffordRep, chirality_project, energy, scalar_lp_norm
 from .weierstrass import (integrate_surface, induced_metric_residual,
                           mean_curvature, mesh_area, null_identity_defect)
 
@@ -325,7 +326,7 @@ def verify_report(cfg: RunConfig, seed: int) -> dict:
 
     sizes = cfg["verify.sizes"]
     broken = cfg["verify.break_stencil"]
-    ctx = dirac.broken_stencil() if broken else _null_context()
+    ctx = dirac.broken_stencil() if broken else contextlib.nullcontext()
     with ctx:
         wres = dirac.weitzenboeck_residual(probe, "spectral")
         add("weitzenboeck_spectral", wres <= 1e-10, wres, 1e-10)
@@ -344,7 +345,6 @@ def verify_report(cfg: RunConfig, seed: int) -> dict:
             w = green.green_convolve(f, "fft")
             diff = np.sqrt(np.sum(np.abs(w.values - psi_c.values) ** 2, axis=(2, 3)))
             ref = np.sqrt(np.sum(np.abs(psi_c.values) ** 2, axis=(2, 3)))
-            from .spinors import scalar_lp_norm
             rec_errors.append(scalar_lp_norm(diff, ch, 2) / scalar_lp_norm(ref, ch, 2))
         ok, factors = _rate_check(rec_errors)
         add("green_roundtrip_rate", ok, factors, [3.0, 5.0], detail=rec_errors)
@@ -384,14 +384,6 @@ def verify_report(cfg: RunConfig, seed: int) -> dict:
                       "flagged": bool(margin_probe >= cfg["solver.guard"])},
     }
     return report
-
-
-class _null_context:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _cmd_verify(cfg: RunConfig, out_dir: str, seed: int) -> int:

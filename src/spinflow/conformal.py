@@ -31,14 +31,13 @@ _SPLINE_ORDER = 3
 
 def _modulation(chart: GridChart):
     """(grid phase, point phase fn) trivializing antiperiodic directions."""
-    if chart.kind != TORUS or chart.spin_structure == "PP":
+    sx, sy = chart.spin_shifts
+    if not (sx or sy):
         return None, None
-    sx = 1.0 if chart.spin_structure[0] == "A" else 0.0
-    sy = 1.0 if chart.spin_structure[1] == "A" else 0.0
     Lx, Ly = chart.params
 
     def point_phase(X, Y):
-        return np.exp(1j * np.pi * (sx * X / Lx + sy * Y / Ly))
+        return np.exp(2j * np.pi * (sx * X / Lx + sy * Y / Ly))
 
     Xg, Yg = chart.grid()
     return np.conj(point_phase(Xg, Yg)), point_phase

@@ -20,7 +20,7 @@ import numpy as np
 
 from .charts import BOUNDARY, CYLINDER, DISK, TORUS, GridChart, SpinorField
 from .errors import ConfigurationError, DomainError
-from .spinors import scalar_lp_norm
+from .spinors import lp_norm
 
 FD = "fd"
 SPECTRAL = "spectral"
@@ -46,20 +46,11 @@ def broken_stencil(scale: float = 1.05):
 # shifts and finite differences
 # ---------------------------------------------------------------------------
 
-def _wrap_sign(chart: GridChart, axis: int) -> float:
-    """Sign picked up by the section when wrapping once along the axis."""
-    if chart.kind != TORUS:
-        return 1.0
-    sx, sy = chart.spin_structure[0], chart.spin_structure[1]
-    tag = sy if axis == 0 else sx
-    return -1.0 if tag == "A" else 1.0
-
-
 def _shift(values: np.ndarray, chart: GridChart, axis: int, k: int) -> np.ndarray:
-    """values[..., i + k, ...] along the axis with (anti)periodic wrap."""
+    """values[..., i + k, ...] along the axis with (anti)periodic wrap: the
+    wrapped entries flip sign along an antiperiodic cycle (shift 1/2)."""
     out = np.roll(values, -k, axis=axis)
-    sign = _wrap_sign(chart, axis)
-    if sign == -1.0:
+    if chart.spin_shifts[1 - axis]:
         sl = [slice(None)] * values.ndim
         sl[axis] = slice(-k, None) if k > 0 else slice(None, -k)
         out[tuple(sl)] = -out[tuple(sl)]
@@ -142,53 +133,38 @@ def _fix_disk_nodes(out, values, chart, axis, h, order):
     return out
 
 
-def diff_x(values: np.ndarray, chart: GridChart) -> np.ndarray:
-    """d/dx of per-node data (leading axes (ny, nx)), second order."""
-    if chart.periodic_x:
-        out = _diff1_periodic(values, chart, 1, chart.hx)
+def _derivative(values: np.ndarray, chart: GridChart, axis: int, order: int) -> np.ndarray:
+    """First or second derivative along an array axis (1 = x, 0 = y), second
+    order: periodic stencils with spin-structure wrap, one-sided edges on
+    bounded axes, the disk ring recomputed node by node."""
+    h, periodic = (chart.hx, chart.periodic_x) if axis == 1 else (chart.hy, chart.periodic_y)
+    if periodic:
+        out = (_diff1_periodic if order == 1 else _diff2_periodic)(values, chart, axis, h)
     else:
-        out = _diff1_bounded(values, 1, chart.hx)
+        out = (_diff1_bounded if order == 1 else _diff2_bounded)(values, axis, h)
     if chart.kind == DISK:
-        out = _fix_disk_nodes(out, values, chart, 1, chart.hx, order=1)
+        out = _fix_disk_nodes(out, values, chart, axis, h, order=order)
         out[~chart.active] = 0.0
-    if _STENCIL_SCALE != 1.0:
+    if axis == 1 and _STENCIL_SCALE != 1.0:
         out = out * _STENCIL_SCALE
     return out
+
+
+def diff_x(values: np.ndarray, chart: GridChart) -> np.ndarray:
+    """d/dx of per-node data (leading axes (ny, nx)), second order."""
+    return _derivative(values, chart, 1, 1)
 
 
 def diff_y(values: np.ndarray, chart: GridChart) -> np.ndarray:
-    if chart.periodic_y:
-        out = _diff1_periodic(values, chart, 0, chart.hy)
-    else:
-        out = _diff1_bounded(values, 0, chart.hy)
-    if chart.kind == DISK:
-        out = _fix_disk_nodes(out, values, chart, 0, chart.hy, order=1)
-        out[~chart.active] = 0.0
-    return out
+    return _derivative(values, chart, 0, 1)
 
 
 def diff2_x(values: np.ndarray, chart: GridChart) -> np.ndarray:
-    if chart.periodic_x:
-        out = _diff2_periodic(values, chart, 1, chart.hx)
-    else:
-        out = _diff2_bounded(values, 1, chart.hx)
-    if chart.kind == DISK:
-        out = _fix_disk_nodes(out, values, chart, 1, chart.hx, order=2)
-        out[~chart.active] = 0.0
-    if _STENCIL_SCALE != 1.0:
-        out = out * _STENCIL_SCALE
-    return out
+    return _derivative(values, chart, 1, 2)
 
 
 def diff2_y(values: np.ndarray, chart: GridChart) -> np.ndarray:
-    if chart.periodic_y:
-        out = _diff2_periodic(values, chart, 0, chart.hy)
-    else:
-        out = _diff2_bounded(values, 0, chart.hy)
-    if chart.kind == DISK:
-        out = _fix_disk_nodes(out, values, chart, 0, chart.hy, order=2)
-        out[~chart.active] = 0.0
-    return out
+    return _derivative(values, chart, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +178,16 @@ def _require_torus(chart: GridChart, what: str):
 
 def _spin_phase(chart: GridChart) -> np.ndarray:
     """Modulation making an (anti)periodic section periodic, shape (ny, nx)."""
-    sx = 1.0 if chart.spin_structure[0] == "A" else 0.0
-    sy = 1.0 if chart.spin_structure[1] == "A" else 0.0
+    sx, sy = chart.spin_shifts
     Lx, Ly = chart.params
-    px = np.exp(-1j * np.pi * sx * chart.xs / Lx)
-    py = np.exp(-1j * np.pi * sy * chart.ys / Ly)
+    px = np.exp(-2j * np.pi * sx * chart.xs / Lx)
+    py = np.exp(-2j * np.pi * sy * chart.ys / Ly)
     return py[:, None] * px[None, :]
 
 
 def spin_frequencies(chart: GridChart):
     """Angular frequencies (xi, eta) on the fft grid, incl. half shifts."""
-    sx = 0.5 if chart.spin_structure[0] == "A" else 0.0
-    sy = 0.5 if chart.spin_structure[1] == "A" else 0.0
+    sx, sy = chart.spin_shifts
     Lx, Ly = chart.params
     kx = np.fft.fftfreq(chart.nx) * chart.nx + sx
     ky = np.fft.fftfreq(chart.ny) * chart.ny + sy
@@ -250,6 +224,16 @@ def symbol_report(chart: GridChart) -> dict:
     return {"min_symbol_modulus": float(mods.min()),
             "zero_modes": zero_modes,
             "invertible": zero_modes == 0}
+
+
+def require_invertible(chart: GridChart, what: str) -> None:
+    """Raise ConfigurationError when the Dirac operator on this torus has a
+    kernel (the PP spin structure carries the constant sections)."""
+    rep = symbol_report(chart)
+    if not rep["invertible"]:
+        raise ConfigurationError(
+            f"{what} needs an invertible Dirac operator; spin structure "
+            f"{chart.spin_structure} has {rep['zero_modes']} zero mode(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +291,7 @@ def dirac_inverse_spectral(f: SpinorField) -> SpinorField:
     """Solve D psi = f exactly per Fourier mode (kernel-free torus only)."""
     chart = f.chart
     _require_torus(chart, "the spectral Dirac inverse")
-    rep = symbol_report(chart)
-    if not rep["invertible"]:
-        raise ConfigurationError(
-            f"Dirac operator has a kernel on spin structure {chart.spin_structure}; "
-            "zero modes: %d" % rep["zero_modes"])
+    require_invertible(chart, "the spectral Dirac inverse")
     a, b = dirac_symbols(chart)
     fh = spin_fft2(f.values, chart)
     out = np.empty_like(fh)
@@ -329,7 +309,4 @@ def weitzenboeck_residual(psi: SpinorField, mode: str = SPECTRAL) -> float:
     """
     _require_torus(psi.chart, "the Weitzenboeck check")
     dd = dirac_apply(dirac_apply(psi, mode), mode)
-    lap = laplace_apply(psi, mode)
-    diff = dd.values + lap.values
-    mags = np.sqrt(np.sum(diff.real ** 2 + diff.imag ** 2, axis=(2, 3)))
-    return scalar_lp_norm(mags, psi.chart, 2.0)
+    return lp_norm(dd + laplace_apply(psi, mode), 2.0)

@@ -5,7 +5,8 @@ Layout (all little-endian):
     bytes 0-4   magic "SPNF1"
     byte  5     endianness tag, 0x4C ('L'); anything else is rejected
     byte  6     domain tag: 0 torus, 1 disk, 2 rect, 3 sphere, 4 cylinder
-    byte  7     spin structure: 0 PP, 1 PA, 2 AP, 3 AA, 0xFF none
+    byte  7     spin structure: 0 PP, 1 PA, 2 AP, 3 AA on the torus;
+                0xFF (none) on every other domain; anything else is rejected
     8-19        nx, ny, n as uint32
     20-23       reserved, zero
     24-55       four float64 domain parameters, zero-padded:
@@ -51,9 +52,10 @@ def _chart_from_header(tag, spin, nx, ny, params) -> GridChart:
     kind = _TAG_DOMAINS.get(tag)
     if kind is None:
         raise FormatError(f"unknown domain tag {tag}")
+    if spin not in _TAG_SPINS or (_TAG_SPINS[spin] is None) == (kind == TORUS):
+        raise FormatError(f"spin structure tag {spin:#04x} is invalid on {kind} charts")
     if kind == TORUS:
-        return GridChart.torus(nx, ny, params[0], params[1],
-                               spin_structure=_TAG_SPINS.get(spin, None) or "PP")
+        return GridChart.torus(nx, ny, params[0], params[1], spin_structure=_TAG_SPINS[spin])
     if kind == DISK:
         return GridChart.disk(nx, params[0])
     if kind == RECT:

@@ -25,8 +25,7 @@ def torus_mode_field(chart: GridChart, amplitude: float = 0.3, n: int = 1,
     """
     if chart.kind != TORUS:
         raise ConfigurationError("mode fields are defined on torus charts")
-    sx = 0.5 if chart.spin_structure[0] == "A" else 0.0
-    sy = 0.5 if chart.spin_structure[1] == "A" else 0.0
+    sx, sy = chart.spin_shifts
     Lx, Ly = chart.params
     X, Y = chart.grid()
     stream = SplitMix64(seed)
@@ -78,13 +77,7 @@ def planted_bubble(chart: GridChart, center, lam: float, amplitude: float,
     """Values array of one concentrated bubble: amplitude/sqrt(lam) times the
     compact Gaussian profile at scale lam around the center (min-image on the
     torus)."""
-    X, Y = chart.grid()
-    dx = X - center[0]
-    dy = Y - center[1]
-    if chart.kind == TORUS:
-        Lx, Ly = chart.params
-        dx = (dx + 0.5 * Lx) % Lx - 0.5 * Lx
-        dy = (dy + 0.5 * Ly) % Ly - 0.5 * Ly
+    dx, dy = chart.min_image_offset(*center)
     prof = amplitude / np.sqrt(lam) * cut_gaussian_profile(
         (dx * dx + dy * dy) / (lam * lam), cut_start, cut_width)
     out = np.zeros((chart.ny, chart.nx, 1, 2), np.complex128)
@@ -114,13 +107,7 @@ def shell_bubble(chart: GridChart, center, lam: float, amplitude: float,
     at scale lam: the capture radius of any sizable energy fraction tracks
     lam itself, which makes planted-scale recovery robust."""
     a, b = SHELL_SUPPORT
-    X, Y = chart.grid()
-    dx = X - center[0]
-    dy = Y - center[1]
-    if chart.kind == TORUS:
-        Lx, Ly = chart.params
-        dx = (dx + 0.5 * Lx) % Lx - 0.5 * Lx
-        dy = (dy + 0.5 * Ly) % Ly - 0.5 * Ly
+    dx, dy = chart.min_image_offset(*center)
     u = np.hypot(dx, dy) / lam
     prof = np.where((u >= a) & (u <= b),
                     np.sin(np.pi * (u - a) / (b - a)) ** 2, 0.0)

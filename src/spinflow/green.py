@@ -10,28 +10,34 @@ convolutions: w1 from f2 with kernel -1/(2 pi conj(z)), w2 from f1 with
 kernel 1/(2 pi z).  The singular self-cell uses the analytic cell average,
 which vanishes by antisymmetry.
 
-On the torus the periodized kernel is realized through the shifted spectral
-symbol (the exact discrete Green function); disk and rect charts use the
-free-space kernel and require compact support away from the chart edge.
+On the torus the periodized kernel is the exact discrete Green function of
+the shifted spectral symbol: the FFT route is the spectral inverse
+``dirac_inverse_spectral`` itself, and the direct route sums the periodized
+kernel node by node as its independent oracle.  Disk and rect charts use the
+free-space kernel and require compact support away from the chart edge; there
+the FFT route pads to a linear convolution and the direct route sums it.
 
-Both a direct summation route and an FFT route are provided; they evaluate
-the same sums, so they must agree to roundoff.
+Both routes evaluate the same sums, so they must agree to roundoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
 from .charts import DISK, RECT, TORUS, GridChart, SpinorField
-from .dirac import _spin_phase, diff_x, diff_y, dirac_symbols
+from .dirac import (_spin_phase, diff_x, diff_y, dirac_inverse_spectral,
+                    dirac_symbols, require_invertible)
 from .errors import ConfigurationError, DomainError, PreconditionError, SolverError
+from .fields import smoothstep7
 from .rng import SplitMix64
 from .spinors import scalar_lp_norm
 
-_kernel_cache: dict = {}
+# Kernel grids and disk systems are cached per chart, at most this many each.
+_CACHE_CHARTS = 16
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,6 @@ def _linear_conv_direct(kernel_off: np.ndarray, src: np.ndarray) -> np.ndarray:
     return out
 
 
-def _circular_conv_fft(kernel_grid: np.ndarray, src: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(np.fft.fft2(kernel_grid) * np.fft.fft2(src))
-
-
 def _circular_conv_direct(kernel_grid: np.ndarray, src: np.ndarray) -> np.ndarray:
     ny, nx = src.shape
     out = np.empty((ny, nx), np.complex128)
@@ -127,50 +129,40 @@ def _circular_conv_direct(kernel_grid: np.ndarray, src: np.ndarray) -> np.ndarra
     return out
 
 
-def _torus_kernel_grids(chart: GridChart):
-    """Periodized kernel grids (G1, G2) acting on modulated sources."""
-    key = ("torus-kernel", chart.signature())
-    if key not in _kernel_cache:
-        a, b = dirac_symbols(chart)
-        bad = (np.abs(a) < 1e-14) | (np.abs(b) < 1e-14)
-        if np.any(bad):
-            raise ConfigurationError(
-                f"Dirac operator is not invertible on spin structure {chart.spin_structure}")
-        G1 = np.fft.ifft2(-1.0 / b)     # w1 <- f2
-        G2 = np.fft.ifft2(1.0 / a)      # w2 <- f1
-        _kernel_cache[key] = (G1, G2)
-    return _kernel_cache[key]
+@lru_cache(maxsize=_CACHE_CHARTS)
+def _free_kernel_grids(chart: GridChart, kernel: GreenKernel):
+    return kernel.scalar_offset_grids(chart)
 
 
 def green_convolve(f: SpinorField, method: str = "fft",
                    kernel: GreenKernel | None = None) -> SpinorField:
     """Dirac-Newton potential of f: returns w with D w ~ f (O(h^2) in FD).
 
-    ``method`` selects the accelerated FFT route or the direct-summation
-    oracle; both evaluate the same kernel sums.
+    ``method`` selects the accelerated FFT route (on the torus, the spectral
+    inverse) or the direct-summation oracle; both evaluate the same kernel sums.
     """
     chart = f.chart
     if method not in ("fft", "direct"):
         raise ConfigurationError(f"unknown convolution method {method!r}")
+    if chart.kind == TORUS and method == "fft":
+        return dirac_inverse_spectral(f)
     out = np.zeros_like(f.values)
     if chart.kind == TORUS:
-        G1, G2 = _torus_kernel_grids(chart)
+        require_invertible(chart, "the torus Green kernel")
+        a, b = dirac_symbols(chart)
+        G1 = np.fft.ifft2(-1.0 / b)     # w1 <- f2
+        G2 = np.fft.ifft2(1.0 / a)      # w2 <- f1
         phase = _spin_phase(chart)
-        conv = _circular_conv_fft if method == "fft" else _circular_conv_direct
         for i in range(f.n):
             m1 = f.values[:, :, i, 0] * phase
             m2 = f.values[:, :, i, 1] * phase
-            out[:, :, i, 0] = conv(G1, m2) * np.conj(phase)
-            out[:, :, i, 1] = conv(G2, m1) * np.conj(phase)
+            out[:, :, i, 0] = _circular_conv_direct(G1, m2) * np.conj(phase)
+            out[:, :, i, 1] = _circular_conv_direct(G2, m1) * np.conj(phase)
         return SpinorField(chart, out, f.tag)
     if chart.kind not in (DISK, RECT):
         raise DomainError(f"green_convolve does not support {chart.kind!r} charts")
     _support_margin_check(f)
-    kernel = kernel or GreenKernel()
-    key = ("free-kernel", chart.signature(), kernel.regularization_radius)
-    if key not in _kernel_cache:
-        _kernel_cache[key] = kernel.scalar_offset_grids(chart)
-    g1, g2 = _kernel_cache[key]
+    g1, g2 = _free_kernel_grids(chart, kernel or GreenKernel())
     conv = _linear_conv_fft if method == "fft" else _linear_conv_direct
     for i in range(f.n):
         out[:, :, i, 0] = conv(g1, f.values[:, :, i, 1])
@@ -184,9 +176,7 @@ def green_convolve(f: SpinorField, method: str = "fft",
 # disk boundary-value solve
 # ---------------------------------------------------------------------------
 
-_disk_system_cache: dict = {}
-
-
+@lru_cache(maxsize=_CACHE_CHARTS)
 def _disk_system(chart: GridChart):
     """Sparse first-order system for the disk boundary-value solve.
 
@@ -198,9 +188,6 @@ def _disk_system(chart: GridChart):
     """
     import scipy.sparse as sp
 
-    key = chart.signature()
-    if key in _disk_system_cache:
-        return _disk_system_cache[key]
     act = chart.active
     idx = -np.ones((chart.ny, chart.nx), dtype=np.int64)
     idx[act] = np.arange(int(act.sum()))
@@ -242,8 +229,7 @@ def _disk_system(chart: GridChart):
             r += 1
     A = sp.csr_matrix((np.asarray(vals, np.complex128), (rows, cols)),
                       shape=(r, 2 * n_act))
-    _disk_system_cache[key] = (A, cell_rows, trace_rows, idx)
-    return _disk_system_cache[key]
+    return A, cell_rows, trace_rows, idx
 
 
 def boundary_trace_norm(chart: GridChart, trace: np.ndarray, p: float) -> float:
@@ -345,13 +331,6 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10,
 # empirical boundary-estimate ratio
 # ---------------------------------------------------------------------------
 
-def _smoothstep7(u: np.ndarray) -> np.ndarray:
-    """C^3 step from 1 at u<=0 to 0 at u>=1."""
-    u = np.clip(u, 0.0, 1.0)
-    s = 35 * u ** 4 - 84 * u ** 5 + 70 * u ** 6 - 20 * u ** 7
-    return 1.0 - s
-
-
 def windowed_mode_field(chart: GridChart, stream: SplitMix64, n: int = 1,
                         max_mode: int = 3, support=(0.45, 0.7)) -> SpinorField:
     """Band-limited random field cut off smoothly inside the chart.
@@ -368,7 +347,7 @@ def windowed_mode_field(chart: GridChart, stream: SplitMix64, n: int = 1,
     cx, cy = 0.5 * (chart.xs[0] + chart.xs[-1]), 0.5 * (chart.ys[0] + chart.ys[-1])
     r = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
     a, b = support[0] * radius, support[1] * radius
-    window = _smoothstep7((r - a) / (b - a))
+    window = smoothstep7((r - a) / (b - a))
     ks = range(-max_mode, max_mode + 1)
     v = np.zeros((chart.ny, chart.nx, n, 2), np.complex128)
     for comp in range(n):

@@ -232,23 +232,28 @@ class ChiralUV(ReactionSpec):
         self.v = v
         self._h0_override = h0
 
+    def _law(self, H, m1, m2):
+        """Preset (U, V) from the slot densities m1 = |psi_1|^2, m2 = |psi_2|^2.
+
+        The law is linear in (m1, m2), so applied to their directional
+        derivatives it gives (dU, dV).
+        """
+        dens = m1 + m2
+        if self.preset == "su2":
+            return -(H - 1j) * dens, -(H + 1j) * dens
+        if self.preset == "nil":
+            U = -H * dens - 0.5j * (m1 - m2)
+            return U, U
+        return (-H * dens - 1j * (1.5 * m2 - m1),
+                -H * dens - 1j * (m2 - 1.5 * m1))
+
     def _uv(self, psi: SpinorField):
         v = psi.values
         if self.preset == "custom":
             return np.asarray(self.u(v), complex), np.asarray(self.v(v), complex)
-        H = _as_node_scalar(self.h, psi.chart)
         m1 = v.real[..., 0, 0] ** 2 + v.imag[..., 0, 0] ** 2
         m2 = v.real[..., 0, 1] ** 2 + v.imag[..., 0, 1] ** 2
-        dens = m1 + m2
-        if self.preset == "su2":
-            U = -(H - 1j) * dens
-            return U, -(H + 1j) * dens
-        if self.preset == "nil":
-            U = -H * dens - 0.5j * (m1 - m2)
-            return U, U.copy()
-        U = -H * dens - 1j * (1.5 * m2 - m1)
-        V = -H * dens - 1j * (m2 - 1.5 * m1)
-        return U, V
+        return self._law(_as_node_scalar(self.h, psi.chart), m1, m2)
 
     def rhs(self, psi: SpinorField) -> SpinorField:
         self._check(psi)
@@ -272,17 +277,7 @@ class ChiralUV(ReactionSpec):
         H = _as_node_scalar(self.h, psi.chart)
         re = lambda s: 2.0 * (d.real[..., 0, s] * v.real[..., 0, s]
                               + d.imag[..., 0, s] * v.imag[..., 0, s])
-        dm1, dm2 = re(0), re(1)
-        ddens = dm1 + dm2
-        if self.preset == "su2":
-            dU = -(H - 1j) * ddens
-            dV = -(H + 1j) * ddens
-        elif self.preset == "nil":
-            dU = -H * ddens - 0.5j * (dm1 - dm2)
-            dV = dU
-        else:
-            dU = -H * ddens - 1j * (1.5 * dm2 - dm1)
-            dV = -H * ddens - 1j * (dm2 - 1.5 * dm1)
+        dU, dV = self._law(H, re(0), re(1))
         U, V = self._uv(psi)
         out = np.empty_like(v)
         out[..., 0, 0] = V * d[..., 0, 0] + dV * v[..., 0, 0]

@@ -20,16 +20,11 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .charts import DISK, TORUS, GridChart, SpinorField
-from .dirac import dirac_apply, dirac_inverse_spectral, symbol_report
+from .dirac import dirac_apply, dirac_inverse_spectral, require_invertible
 from .errors import ConfigurationError, DivergenceError
 from .green import disk_solve
 from .reactions import ReactionSpec
-from .spinors import energy, scalar_lp_norm
-
-
-def _field_norm(psi: SpinorField, p: float = 2.0) -> float:
-    mags = np.sqrt(np.sum(psi.values.real ** 2 + psi.values.imag ** 2, axis=(2, 3)))
-    return scalar_lp_norm(mags, psi.chart, p)
+from .spinors import energy, lp_norm
 
 
 def residual(spec: ReactionSpec, psi: SpinorField, forcing: SpinorField | None = None,
@@ -38,7 +33,7 @@ def residual(spec: ReactionSpec, psi: SpinorField, forcing: SpinorField | None =
     res = dirac_apply(psi, mode) - spec.rhs(psi)
     if forcing is not None:
         res = res - forcing
-    return res, _field_norm(res, 4.0 / 3.0)
+    return res, lp_norm(res, 4.0 / 3.0)
 
 
 def smallness_margin(spec: ReactionSpec, psi: SpinorField) -> float:
@@ -64,12 +59,8 @@ class PicardReport:
 
 def _make_inverse(chart: GridChart, trace):
     if chart.kind == TORUS:
-        rep = symbol_report(chart)
-        if not rep["invertible"]:
-            raise ConfigurationError(
-                f"Picard iteration needs an invertible Dirac operator; spin "
-                f"structure {chart.spin_structure} has {rep['zero_modes']} zero mode(s)")
-        return lambda f: dirac_inverse_spectral(f), "spectral"
+        require_invertible(chart, "Picard iteration")
+        return dirac_inverse_spectral, "spectral"
     if chart.kind == DISK:
         nb = chart.boundary_nodes.shape[0]
 
@@ -111,7 +102,7 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
                 target = target + forcing
             proposal = inverse(target)
             new = (1.0 - damping) * psi + damping * proposal
-            du = _field_norm(new - psi)
+            du = lp_norm(new - psi, 2.0)
             report.update_norms.append(du)
             psi = new
             _, rnorm = residual(spec, psi, forcing, mode=res_mode)
@@ -161,11 +152,7 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
         report.stagnated = True
         report.reason = f"newton refinement not available on {chart.kind!r} charts"
         return psi.copy(), report
-    rep = symbol_report(chart)
-    if not rep["invertible"]:
-        raise ConfigurationError(
-            f"Newton refinement needs an invertible Dirac operator "
-            f"(spin structure {chart.spin_structure})")
+    require_invertible(chart, "Newton refinement")
     shape = psi.values.shape
     current = psi.copy()
     _, rnorm = residual(spec, current, forcing, mode="spectral")

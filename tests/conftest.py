@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spinflow.charts import GridChart, SpinorField
+
+# CLI tests run ``python -m spinflow.cli`` in subprocesses; let those import
+# the source tree too, so a plain ``pytest`` works without installing.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 def random_field(chart, n=1, seed=0, scale=1.0):

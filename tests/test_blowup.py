@@ -88,6 +88,14 @@ class TestBlowupSet:
         assert [(p.node, p.liminf_energy) for p in pts_a] == \
             [(p.node, p.liminf_energy) for p in pts_b]
 
+    @pytest.mark.parametrize("center", [(0.5, 0.5), (0.0, 0.5), (0.5, 0.0), (0.0, 0.0)])
+    def test_seam_crossing_cluster_reported_once(self, torus128, center):
+        seq, _, _ = single_bubble_sequence(torus128, center)
+        pts = blowup_set(seq, 1.0, RADII)
+        assert len(pts) == 1
+        d2 = _min_image_dist2(torus128, *center)
+        assert d2[pts[0].node] <= (2.0 * torus128.h) ** 2
+
     def test_local_energy_grid_matches_direct_sum(self, torus128):
         seq, _, _ = single_bubble_sequence(torus128, (0.5, 0.5), length=4)
         psi = seq[-1]

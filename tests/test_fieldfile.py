@@ -83,3 +83,19 @@ class TestFormatErrors:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="endian"):
             read_field(p)
+
+    @pytest.mark.parametrize("chart, tag", [
+        (GridChart.torus(8, spin_structure="PP"), 9),
+        (GridChart.torus(8, spin_structure="PP"), 0xFF),
+        (GridChart.disk(9), 3),
+        (GridChart.disk(9), 0),
+        (GridChart.rect(8), 9),
+    ], ids=["torus-9", "torus-none", "disk-3", "disk-0", "rect-9"])
+    def test_spin_tag_must_match_domain(self, chart, tag, tmp_path):
+        p = tmp_path / "t.spnf"
+        write_field(p, SpinorField.zeros(chart, 1))
+        raw = bytearray(p.read_bytes())
+        raw[7] = tag
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="spin structure tag"):
+            read_field(p)

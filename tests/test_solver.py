@@ -3,10 +3,10 @@ import pytest
 
 from spinflow.charts import GridChart, SpinorField
 from spinflow.conformal import rescale
-from spinflow.dirac import dirac_apply
+from spinflow.dirac import dirac_apply, dirac_inverse_spectral
 from spinflow.errors import ConfigurationError, DivergenceError
 from spinflow.fields import torus_mode_field
-from spinflow.green import disk_solve
+from spinflow.green import disk_solve, green_convolve
 from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH
 from spinflow.solve import (newton_refine, picard_solve, residual,
                             smallness_margin)
@@ -157,6 +157,26 @@ class TestNewton:
         out, rep = newton_refine(ScalarH(0.5), psi)
         assert rep.stagnated and not rep.converged
         assert np.array_equal(out.values, psi.values)
+
+
+class _NoSweep(ScalarH):
+    """A reaction that fails the test if a solver sweeps before checking."""
+
+    def rhs(self, psi):
+        raise AssertionError("solver evaluated the reaction before the invertibility check")
+
+
+@pytest.mark.parametrize("call", [
+    dirac_inverse_spectral,
+    lambda f: green_convolve(f, "fft"),
+    lambda f: green_convolve(f, "direct"),
+    lambda f: picard_solve(_NoSweep(0.5), f),
+    lambda f: newton_refine(_NoSweep(0.5), f),
+], ids=["dirac_inverse_spectral", "green_fft", "green_direct", "picard", "newton"])
+def test_pp_torus_kernel_rejected(call):
+    chart = GridChart.torus(16, spin_structure="PP")
+    with pytest.raises(ConfigurationError, match="zero mode"):
+        call(SpinorField.zeros(chart, 1))
 
 
 class TestSmallnessMargin:
