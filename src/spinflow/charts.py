@@ -9,11 +9,16 @@ A chart is a uniform grid over one of five flat domains:
   read the structure only through ``GridChart.spin_shifts``.  Distances on
   the torus are minimum-image distances (``GridChart.min_image_offset``).
 * ``disk``     -- nodes of a square grid with ``|x| <= R``; the active set
-  splits into inside nodes and a closed ring of boundary nodes.
+  splits into inside nodes (the active set eroded by one cross step) and a
+  closed ring of boundary nodes.
 * ``rect``     -- a rectangle, endpoints included, no periodicity.
 * ``sphere``   -- stereographic-plane square ``[-extent, extent]^2``; the
   quadrature weight carries the round conformal factor ``(2/(1+|x|^2))^2``.
 * ``cylinder`` -- ``[t0, t1] x [0, 2pi)``, periodic in the angle only.
+
+``GridChart.cells`` marks the full cells, those whose four corner nodes are
+all active; the disk solve, the plaquette check and the surface mesh are
+built on them.
 
 Arrays are indexed ``[iy, ix]`` (row = y).  Spinor values have shape
 ``(ny, nx, n, 2)`` complex128: node-major, then the n target components,
@@ -26,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import ConfigurationError, PreconditionError
 
@@ -68,8 +74,8 @@ class GridChart:
         _validate_counts(nx, ny)
         if spin_structure not in SPIN_STRUCTURES:
             raise ConfigurationError(f"unknown spin structure {spin_structure!r}")
-        if period_x <= 0 or period_y <= 0:
-            raise ConfigurationError("torus periods must be positive")
+        if not (0 < period_x < np.inf and 0 < period_y < np.inf):
+            raise ConfigurationError("torus periods must be positive and finite")
         hx, hy = period_x / nx, period_y / ny
         xs = np.arange(nx) * hx
         ys = np.arange(ny) * hy
@@ -79,8 +85,9 @@ class GridChart:
     @staticmethod
     def disk(nx: int, radius: float = 1.0) -> "GridChart":
         _validate_counts(nx, nx)
-        if radius <= 0:
-            raise ConfigurationError("disk radius must be positive")
+        # the mask squares the corner coordinates: 2 R^2 must stay finite
+        if not (radius > 0 and 2.0 * float(radius) * float(radius) < np.inf):
+            raise ConfigurationError("disk radius must be positive and finite")
         h = 2.0 * radius / (nx - 1)
         xs = -radius + np.arange(nx) * h
         return GridChart(DISK, nx, nx, h, h, xs, xs.copy(), (radius,))
@@ -91,8 +98,8 @@ class GridChart:
         ny = nx if ny is None else ny
         _validate_counts(nx, ny)
         x0, x1, y0, y1 = map(float, bounds)
-        if x1 <= x0 or y1 <= y0:
-            raise ConfigurationError("rect bounds must be increasing")
+        if not (0 < x1 - x0 < np.inf and 0 < y1 - y0 < np.inf):
+            raise ConfigurationError("rect bounds must be finite and increasing")
         hx = (x1 - x0) / (nx - 1)
         hy = (y1 - y0) / (ny - 1)
         xs = x0 + np.arange(nx) * hx
@@ -102,8 +109,8 @@ class GridChart:
     @staticmethod
     def sphere(nx: int, extent: float = 2.0) -> "GridChart":
         _validate_counts(nx, nx)
-        if extent <= 0:
-            raise ConfigurationError("sphere chart extent must be positive")
+        if not (extent > 0 and 2.0 * float(extent) * float(extent) < np.inf):
+            raise ConfigurationError("sphere chart extent must be positive and finite")
         h = 2.0 * extent / (nx - 1)
         xs = -extent + np.arange(nx) * h
         return GridChart(SPHERE, nx, nx, h, h, xs, xs.copy(), (extent,))
@@ -111,8 +118,8 @@ class GridChart:
     @staticmethod
     def cylinder(nt: int, ntheta: int, t0: float, t1: float) -> "GridChart":
         _validate_counts(ntheta, nt)
-        if t1 <= t0:
-            raise ConfigurationError("cylinder needs t1 > t0")
+        if not 0 < t1 - t0 < np.inf:
+            raise ConfigurationError("cylinder needs finite t0 < t1")
         ht = (t1 - t0) / (nt - 1)
         htheta = 2.0 * np.pi / ntheta
         xs = np.arange(ntheta) * htheta        # angle axis, periodic
@@ -187,16 +194,9 @@ class GridChart:
             radius = self.params[0]
             X, Y = self.grid()
             active = X * X + Y * Y <= radius * radius * (1.0 + 1e-12)
-            inner = active.copy()
-            inner[1:, :] &= active[:-1, :]
-            inner[:-1, :] &= active[1:, :]
-            inner[:, 1:] &= active[:, :-1]
-            inner[:, :-1] &= active[:, 1:]
-            inner[0, :] = inner[-1, :] = False
-            inner[:, 0] = inner[:, -1] = False
             m[:] = OUTSIDE
             m[active] = BOUNDARY
-            m[inner & active] = INSIDE
+            m[ndimage.binary_erosion(active)] = INSIDE
         return m
 
     @cached_property
@@ -206,6 +206,12 @@ class GridChart:
     @cached_property
     def inside(self) -> np.ndarray:
         return self.mask == INSIDE
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Full cells, shape (ny-1, nx-1): all four corner nodes active."""
+        a = self.active
+        return a[:-1, :-1] & a[:-1, 1:] & a[1:, :-1] & a[1:, 1:]
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -202,6 +202,8 @@ def _cmd_blowup(cfg: RunConfig, out_dir: str, field_paths, background_path) -> i
                   else SpinorField.zeros(sequence[0].chart, sequence[0].n))
     if background.chart != sequence[0].chart:
         raise ConfigurationError("background chart does not match the sequence")
+    if any(f.n != sequence[0].n for f in sequence + [background]):
+        raise ConfigurationError("sequence and background fields differ in component count")
     eps = cfg["analysis.epsilon"]
     radii = cfg["analysis.radii"]
     points = blowup_mod.blowup_set(sequence, eps, radii)

@@ -12,7 +12,8 @@ Example::
     seed = 42
 
 Unknown keys are rejected; every numeric value is validated against its
-documented range.  ``#`` starts a comment (full line or trailing).
+documented range, and float values must be finite (``nan``/``inf`` are
+rejected).  ``#`` starts a comment (full line or trailing).
 """
 
 from __future__ import annotations
@@ -35,8 +36,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    val = float(raw)
+    if not np.isfinite(val):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return val
+
+
 def _parse_float_list(raw: str):
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    return tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip())
 
 
 def _parse_int_list(raw: str):
@@ -48,35 +56,35 @@ _SCHEMA = {
     "chart.domain": (str.strip, lambda v: v in ("torus", "disk", "rect", "sphere"), "torus"),
     "chart.nx": (int, lambda v: v >= 8, 64),
     "chart.ny": (int, lambda v: v >= 8, None),
-    "chart.period_x": (float, lambda v: v > 0, 1.0),
-    "chart.period_y": (float, lambda v: v > 0, None),
+    "chart.period_x": (_parse_float, lambda v: v > 0, 1.0),
+    "chart.period_y": (_parse_float, lambda v: v > 0, None),
     "chart.spin_structure": (str.strip, lambda v: v in ("PP", "PA", "AP", "AA"), "AA"),
-    "chart.radius": (float, lambda v: v > 0, 1.0),
-    "chart.x0": (float, lambda v: True, -1.0),
-    "chart.x1": (float, lambda v: True, 1.0),
-    "chart.y0": (float, lambda v: True, -1.0),
-    "chart.y1": (float, lambda v: True, 1.0),
-    "chart.extent": (float, lambda v: v > 0, 2.0),
+    "chart.radius": (_parse_float, lambda v: v > 0, 1.0),
+    "chart.x0": (_parse_float, lambda v: True, -1.0),
+    "chart.x1": (_parse_float, lambda v: True, 1.0),
+    "chart.y0": (_parse_float, lambda v: True, -1.0),
+    "chart.y1": (_parse_float, lambda v: True, 1.0),
+    "chart.extent": (_parse_float, lambda v: v > 0, 2.0),
     "reaction.type": (str.strip, lambda v: v in ("scalar_h", "general_cubic",
                                                  "curvature_cubic", "chiral_su2",
                                                  "chiral_nil", "chiral_sl2"), "scalar_h"),
-    "reaction.h": (float, lambda v: np.isfinite(v), 0.0),
-    "reaction.kappa": (float, lambda v: np.isfinite(v), 1.0),
+    "reaction.h": (_parse_float, lambda v: True, 0.0),
+    "reaction.kappa": (_parse_float, lambda v: True, 1.0),
     "reaction.n": (int, lambda v: v >= 1, 2),
-    "solver.damping": (float, lambda v: 0 < v <= 1, 0.5),
-    "solver.tol": (float, lambda v: v > 0, 1e-8),
+    "solver.damping": (_parse_float, lambda v: 0 < v <= 1, 0.5),
+    "solver.tol": (_parse_float, lambda v: v > 0, 1e-8),
     "solver.max_iter": (int, lambda v: v >= 1, 400),
-    "solver.guard": (float, lambda v: v > 0, 0.5),
+    "solver.guard": (_parse_float, lambda v: v > 0, 0.5),
     "solver.newton": (_parse_bool, lambda v: True, True),
-    "solver.newton_tol": (float, lambda v: v > 0, 1e-10),
+    "solver.newton_tol": (_parse_float, lambda v: v > 0, 1e-10),
     "solver.manufactured": (_parse_bool, lambda v: True, False),
-    "solver.amplitude": (float, lambda v: v > 0, 0.3),
-    "analysis.epsilon": (float, lambda v: v > 0, 0.01),
+    "solver.amplitude": (_parse_float, lambda v: v > 0, 0.3),
+    "analysis.epsilon": (_parse_float, lambda v: v > 0, 0.01),
     "analysis.radii": (_parse_float_list, lambda v: len(v) > 0 and min(v) > 0,
                        (0.12, 0.1, 0.08)),
-    "analysis.delta": (float, lambda v: v > 0, 0.1),
-    "analysis.big_r": (float, lambda v: v > 0, 2.0),
-    "analysis.search_radius": (float, lambda v: v > 0, 0.2),
+    "analysis.delta": (_parse_float, lambda v: v > 0, 0.1),
+    "analysis.big_r": (_parse_float, lambda v: v > 0, 2.0),
+    "analysis.search_radius": (_parse_float, lambda v: v > 0, 0.2),
     "verify.sizes": (_parse_int_list, lambda v: len(v) >= 2 and min(v) >= 16, (32, 64, 128)),
     "verify.ratio_trials": (int, lambda v: v >= 1, 6),
     "verify.ratio_sizes": (_parse_int_list, lambda v: len(v) >= 2 and min(v) >= 17,

@@ -91,45 +91,33 @@ def _fix_disk_nodes(out, values, chart, axis, h, order):
     """Recompute the disk boundary ring with stencils that avoid outside nodes.
 
     Inside nodes always have active 4-neighbors, so the global centered pass is
-    valid there; only the ring needs per-node care.  Falls back to first order
-    when only one in-domain neighbor exists along the axis (coarse grids).
+    valid there; only the ring needs care.  Each ring node takes the first
+    stencil whose neighbors along the axis are active: centered, forward,
+    backward, then (first derivative only) first order forward or backward,
+    else zero.  Coarse grids reach the later ones.
     """
-    active = chart.active
-    jj, ii = np.nonzero(chart.mask == BOUNDARY)
-    n0, n1 = chart.ny, chart.nx
-
-    for j, i in zip(jj, ii):
-        def at(d):
-            return values[j + d, i] if axis == 0 else values[j, i + d]
-
-        def ok(d):
-            jd, id_ = (j + d, i) if axis == 0 else (j, i + d)
-            return 0 <= jd < n0 and 0 <= id_ < n1 and active[jd, id_]
-
-        here = values[j, i]
-        m2, m1, p1, p2 = ok(-2), ok(-1), ok(1), ok(2)
-        if order == 1:
-            if m1 and p1:
-                out[j, i] = (at(1) - at(-1)) / (2.0 * h)
-            elif p1 and p2:
-                out[j, i] = (-3.0 * here + 4.0 * at(1) - at(2)) / (2.0 * h)
-            elif m1 and m2:
-                out[j, i] = (3.0 * here - 4.0 * at(-1) + at(-2)) / (2.0 * h)
-            elif p1:
-                out[j, i] = (at(1) - here) / h
-            elif m1:
-                out[j, i] = (here - at(-1)) / h
-            else:
-                out[j, i] = 0.0
-        else:
-            if m1 and p1:
-                out[j, i] = (at(1) - 2.0 * here + at(-1)) / (h * h)
-            elif p1 and p2:
-                out[j, i] = (here - 2.0 * at(1) + at(2)) / (h * h)
-            elif m1 and m2:
-                out[j, i] = (here - 2.0 * at(-1) + at(-2)) / (h * h)
-            else:
-                out[j, i] = 0.0
+    ring = list(np.nonzero(chart.mask == BOUNDARY))
+    pos, size = ring[axis], chart.active.shape[axis]
+    near, ok = [], []           # values and availability at offsets -2..2
+    for d in (-2, -1, 0, 1, 2):
+        at = list(ring)
+        at[axis] = np.clip(pos + d, 0, size - 1)
+        near.append(values[tuple(at)])
+        ok.append((pos + d >= 0) & (pos + d < size) & chart.active[tuple(at)])
+    m2, m1, _, p1, p2 = ok
+    if order == 1:
+        rules = ((m1 & p1, lambda l2, l1, c, r1, r2: (r1 - l1) / (2.0 * h)),
+                 (p1 & p2, lambda l2, l1, c, r1, r2: (-3.0 * c + 4.0 * r1 - r2) / (2.0 * h)),
+                 (m1 & m2, lambda l2, l1, c, r1, r2: (3.0 * c - 4.0 * l1 + l2) / (2.0 * h)),
+                 (p1, lambda l2, l1, c, r1, r2: (r1 - c) / h),
+                 (m1, lambda l2, l1, c, r1, r2: (c - l1) / h))
+    else:
+        rules = ((m1 & p1, lambda l2, l1, c, r1, r2: (r1 - 2.0 * c + l1) / (h * h)),
+                 (p1 & p2, lambda l2, l1, c, r1, r2: (c - 2.0 * r1 + r2) / (h * h)),
+                 (m1 & m2, lambda l2, l1, c, r1, r2: (c - 2.0 * l1 + l2) / (h * h)))
+    out[tuple(ring)] = 0.0
+    for use, rule in reversed(rules):           # earlier rules overwrite later ones
+        out[ring[0][use], ring[1][use]] = rule(*(v[use] for v in near))
     return out
 
 

@@ -17,6 +17,9 @@ Layout (all little-endian):
                 iy*nx + ix, then component-major, then the 2-spinor slot;
                 each complex is a float64 (re, im) pair)
 
+A file reads only as a valid field.  Nonzero reserved or padding bytes, a
+header the chart constructors refuse, a payload shape that does not fit the
+chart, non-finite values and data on outside disk nodes are format errors.
 Read then write reproduces the bytes exactly.
 """
 
@@ -27,7 +30,7 @@ import struct
 import numpy as np
 
 from .charts import CYLINDER, DISK, RECT, SPHERE, TORUS, GridChart, SpinorField
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError, PreconditionError
 
 MAGIC = b"SPNF1"
 _DOMAIN_TAGS = {TORUS: 0, DISK: 1, RECT: 2, SPHERE: 3, CYLINDER: 4}
@@ -65,14 +68,16 @@ def _chart_from_header(tag, spin, nx, ny, params) -> GridChart:
     return GridChart.cylinder(ny, nx, params[0], params[1])
 
 
+def _header(chart: GridChart, n: int) -> bytes:
+    return _HEADER.pack(MAGIC, ord("L"), _DOMAIN_TAGS[chart.kind],
+                        _SPIN_TAGS[chart.spin_structure],
+                        chart.nx, chart.ny, n, 0, *_chart_params(chart))
+
+
 def write_field(path, psi: SpinorField) -> None:
-    chart = psi.chart
-    header = _HEADER.pack(MAGIC, ord("L"), _DOMAIN_TAGS[chart.kind],
-                          _SPIN_TAGS[chart.spin_structure],
-                          chart.nx, chart.ny, psi.n, 0, *_chart_params(chart))
     payload = np.ascontiguousarray(psi.values, dtype="<c16").tobytes()
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_header(psi.chart, psi.n))
         fh.write(payload)
 
 
@@ -81,7 +86,7 @@ def read_field(path) -> SpinorField:
         raw = fh.read()
     if len(raw) < _HEADER.size:
         raise FormatError("field file truncated before the header ends")
-    magic, endian, dom, spin, nx, ny, n, _reserved, *params = _HEADER.unpack_from(raw)
+    magic, endian, dom, spin, nx, ny, n, _, *params = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}; expected {MAGIC!r}")
     if endian != ord("L"):
@@ -93,6 +98,12 @@ def read_field(path) -> SpinorField:
     if len(payload) != expected:
         raise FormatError(
             f"payload is {len(payload)} bytes; header promises {expected}")
-    chart = _chart_from_header(dom, spin, nx, ny, tuple(params))
     values = np.frombuffer(payload, dtype="<c16").reshape(ny, nx, n, 2)
-    return SpinorField(chart, values.copy())
+    try:
+        chart = _chart_from_header(dom, spin, nx, ny, tuple(params))
+        psi = SpinorField(chart, values.copy()).validate()
+    except (ConfigurationError, PreconditionError) as exc:
+        raise FormatError(f"invalid field: {exc}") from exc
+    if _header(chart, n) != raw[:_HEADER.size]:
+        raise FormatError("reserved bytes and unused domain parameters must be zero")
+    return psi

@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
+import scipy.sparse as sp
+from scipy import ndimage
 
 from .charts import DISK, RECT, TORUS, GridChart, SpinorField
 from .dirac import (_spin_phase, diff_x, diff_y, dirac_inverse_spectral,
@@ -76,19 +78,8 @@ class GreenKernel:
 
 
 def _support_margin_check(f: SpinorField, margin_cells: int = 2):
-    chart = f.chart
-    act = chart.active
-    inner = act.copy()
-    for _ in range(margin_cells):
-        nxt = inner.copy()
-        nxt[1:, :] &= inner[:-1, :]
-        nxt[:-1, :] &= inner[1:, :]
-        nxt[:, 1:] &= inner[:, :-1]
-        nxt[:, :-1] &= inner[:, 1:]
-        nxt[0, :] = nxt[-1, :] = False
-        nxt[:, 0] = nxt[:, -1] = False
-        inner = nxt
-    ring = act & ~inner
+    act = f.chart.active
+    ring = act & ~ndimage.binary_erosion(act, iterations=margin_cells)
     mags = np.abs(f.values).max(axis=(2, 3))
     top = mags.max()
     if top > 0 and mags[ring].max() > 1e-13 * top:
@@ -183,53 +174,40 @@ def _disk_system(chart: GridChart):
     The Dirac rows sit at cell centers (box scheme: corner differences at the
     four cell corners, right-hand side averaged over the corners); node-based
     centered differences would leave exact checkerboard modes in the kernel.
-    Trace rows on the boundary ring are weighted by 1/h.  Unknown ordering:
-    active nodes in C order, slot 1 then slot 2 per node.
+    Unknown ordering: active nodes in C order, slot 1 then slot 2 per node.
+
+    Row layout: two rows per full cell (``GridChart.cells``) in C order, first
+    ``(Dx + i Dy) psi2 = mean f1``, then ``-(Dx - i Dy) psi1 = mean f2``, each
+    over the corners (j,i), (j,i+1), (j+1,i), (j+1,i+1); then two trace rows
+    (slot 1, slot 2) per boundary ring node in ring order, weighted by 1/h.
+
+    Returns ``(A, A^H, idx, corners)``: the CSR matrix and its conjugate
+    transpose, the unknown index of each node (-1 outside), and the flat node
+    ids ``iy*nx + ix`` of the cell corners, shape (4, n_cells), in row order.
     """
-    import scipy.sparse as sp
-
     act = chart.active
-    idx = -np.ones((chart.ny, chart.nx), dtype=np.int64)
-    idx[act] = np.arange(int(act.sum()))
     n_act = int(act.sum())
-
-    rows, cols, vals = [], [], []
-    cell_rows = []          # (row, corners, f-slot)
-    r = 0
+    idx = -np.ones((chart.ny, chart.nx), dtype=np.int64)
+    idx[act] = np.arange(n_act)
+    jj, ii = np.nonzero(chart.cells)
+    first = jj * chart.nx + ii                          # corner (j, i) of each cell
+    corners = np.stack([first, first + 1, first + chart.nx, first + chart.nx + 1])
+    unknown = idx.ravel()[corners.T]                    # (n_cells, 4)
+    n_cells = unknown.shape[0]
     hx, hy = chart.hx, chart.hy
-    for j in range(chart.ny - 1):
-        for i in range(chart.nx - 1):
-            if not (act[j, i] and act[j, i + 1] and act[j + 1, i] and act[j + 1, i + 1]):
-                continue
-            corners = ((j, i), (j, i + 1), (j + 1, i), (j + 1, i + 1))
-            cx = (-1, +1, -1, +1)
-            cy = (-1, -1, +1, +1)
-            # (Dx + i Dy) psi2 = mean f1 over the corners
-            for c, sx, sy in zip(corners, cx, cy):
-                rows.append(r)
-                cols.append(2 * idx[c] + 1)
-                vals.append(sx / (2 * hx) + 1j * sy / (2 * hy))
-            cell_rows.append((r, corners, 0))
-            r += 1
-            # -(Dx - i Dy) psi1 = mean f2
-            for c, sx, sy in zip(corners, cx, cy):
-                rows.append(r)
-                cols.append(2 * idx[c])
-                vals.append(-(sx / (2 * hx) - 1j * sy / (2 * hy)))
-            cell_rows.append((r, corners, 1))
-            r += 1
-    w_trace = 1.0 / chart.h
-    trace_rows = []
-    for (j, i) in chart.boundary_nodes:
-        for s in (0, 1):
-            rows.append(r)
-            cols.append(2 * idx[j, i] + s)
-            vals.append(w_trace)
-            trace_rows.append((r, j, i, s))
-            r += 1
-    A = sp.csr_matrix((np.asarray(vals, np.complex128), (rows, cols)),
-                      shape=(r, 2 * n_act))
-    return A, cell_rows, trace_rows, idx
+    cx, cy = (-1, +1, -1, +1), (-1, -1, +1, +1)
+    stencil = [[sx / (2 * hx) + 1j * sy / (2 * hy) for sx, sy in zip(cx, cy)],
+               [-(sx / (2 * hx) - 1j * sy / (2 * hy)) for sx, sy in zip(cx, cy)]]
+    ring = idx[chart.boundary_nodes[:, 0], chart.boundary_nodes[:, 1]]
+    n_rows = 2 * n_cells + 2 * ring.size
+    rows = np.concatenate([np.repeat(np.arange(2 * n_cells), 4),
+                           np.arange(2 * n_cells, n_rows)])
+    cols = np.concatenate([np.stack([2 * unknown + 1, 2 * unknown], axis=1).ravel(),
+                           (2 * ring[:, None] + np.arange(2)).ravel()])
+    vals = np.concatenate([np.broadcast_to(np.array(stencil), (n_cells, 2, 4)).ravel(),
+                           np.full(2 * ring.size, 1.0 / chart.h)])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, 2 * n_act))
+    return A, A.conj().T.tocsr(), idx, corners
 
 
 def boundary_trace_norm(chart: GridChart, trace: np.ndarray, p: float) -> float:
@@ -268,21 +246,20 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10,
     if trace.shape != (bnodes.shape[0], f.n, 2):
         raise PreconditionError(
             f"trace must have shape (n_boundary, n, 2) = {(bnodes.shape[0], f.n, 2)}")
-    A, cell_rows, trace_rows, idx = _disk_system(chart)
-    AH = A.conj().T.tocsr()
+    A, AH, idx, corners = _disk_system(chart)
     n_unknown = A.shape[1]
     max_iter = 10 * n_unknown if max_iter is None else max_iter
-    w_trace = 1.0 / chart.h
 
+    # right-hand sides, one column per component: corner means (the leading 0
+    # is a Python sum's start value, so four -0.0 corners give +0.0), then
+    # the weighted trace rows
+    c0, c1, c2, c3 = f.values.reshape(-1, f.n, 2)[corners]
+    rhs = np.concatenate([0.25 * (0 + c0 + c1 + c2 + c3), (1.0 / chart.h) * trace])
     out = np.zeros_like(f.values)
     histories = []
     ls_residuals = []
     for comp in range(f.n):
-        b = np.zeros(A.shape[0], np.complex128)
-        for (r, corners, s) in cell_rows:
-            b[r] = 0.25 * sum(f.values[j, i, comp, s] for (j, i) in corners)
-        for k, (r, j, i, s) in enumerate(trace_rows):
-            b[r] = w_trace * trace[k // 2, comp, s]
+        b = rhs[:, comp, :].ravel()
         bnorm = np.linalg.norm(b)
         history = []
         x = np.zeros(n_unknown, np.complex128)

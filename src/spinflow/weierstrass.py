@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import ndimage
 
 from .charts import BOUNDARY, CYLINDER, GridChart, SpinorField
 from .errors import ConfigurationError, PreconditionError
@@ -110,8 +111,7 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
                 queue.append((ja, ia))
 
     # plaquette circulation of the trapezoid edge rule, per unit cell area
-    c00 = act[:-1, :-1] & act[:-1, 1:] & act[1:, 1:] & act[1:, :-1]
-    if c00.any():
+    if chart.cells.any():
         p00 = phi[:-1, :-1]
         p10 = phi[:-1, 1:]
         p11 = phi[1:, 1:]
@@ -119,7 +119,7 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
         circ = 0.5 * ((p00 + p10) * hx + (p10 + p11) * (1j * hy)
                       + (p11 + p01) * (-hx) + (p01 + p00) * (-1j * hy))
         mags = np.linalg.norm(circ.real, axis=-1) / (hx * hy)
-        loop_residual = float(np.where(c00, mags, 0.0).max())
+        loop_residual = float(np.where(chart.cells, mags, 0.0).max())
     else:
         loop_residual = 0.0
 
@@ -128,37 +128,24 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
 
 
 def _triangulate(chart: GridChart, X: np.ndarray) -> np.ndarray:
-    """Split each fully-active quad, keeping the grid orientation.
+    """Split each full cell (``GridChart.cells``), keeping the grid orientation.
 
     Interior cells use the main diagonal uniformly (a consistent pattern is
     what makes the pointwise curvature estimates converge); cells touching a
     disk boundary node take the shorter diagonal, ties to the main one.
     """
-    ny, nx = chart.ny, chart.nx
-    act = chart.active
-    mask = chart.mask
-    faces = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            if not (act[j, i] and act[j, i + 1] and act[j + 1, i] and act[j + 1, i + 1]):
-                continue
-            a = j * nx + i
-            b = j * nx + i + 1
-            c = (j + 1) * nx + i + 1
-            d = (j + 1) * nx + i
-            use_main = True
-            if (mask[j, i] == BOUNDARY or mask[j, i + 1] == BOUNDARY
-                    or mask[j + 1, i] == BOUNDARY or mask[j + 1, i + 1] == BOUNDARY):
-                main = np.linalg.norm(X[j, i] - X[j + 1, i + 1])
-                anti = np.linalg.norm(X[j, i + 1] - X[j + 1, i])
-                use_main = main <= anti
-            if use_main:
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-            else:
-                faces.append((a, b, d))
-                faces.append((b, c, d))
-    return np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    nx = chart.nx
+    jj, ii = np.nonzero(chart.cells)
+    a = jj * nx + ii
+    b, c, d = a + 1, a + nx + 1, a + nx
+    use_main = np.ones(a.shape, bool)
+    on_ring = (chart.mask == BOUNDARY).ravel()
+    V = X.reshape(-1, 3)
+    for k in np.flatnonzero(on_ring[a] | on_ring[b] | on_ring[c] | on_ring[d]):
+        use_main[k] = np.linalg.norm(V[a[k]] - V[c[k]]) <= np.linalg.norm(V[b[k]] - V[d[k]])
+    faces = np.where(use_main[:, None], np.stack([a, b, c, a, c, d], axis=1),
+                     np.stack([a, b, d, b, c, d], axis=1))
+    return faces.reshape(-1, 3)
 
 
 def mesh_area(mesh: SurfaceMesh) -> float:
@@ -243,19 +230,7 @@ def mean_curvature(mesh: SurfaceMesh):
     LX = W @ V - diag[:, None] * V
 
     # interior = active 8-neighborhood, not meeting a degenerate face
-    act = chart.active
-    interior = act.copy()
-    for dj in (-1, 0, 1):
-        for di in (-1, 0, 1):
-            shifted = np.zeros_like(act)
-            js = slice(max(0, dj), ny + min(0, dj))
-            is_ = slice(max(0, di), nx + min(0, di))
-            jt = slice(max(0, -dj), ny + min(0, -dj))
-            it = slice(max(0, -di), nx + min(0, -di))
-            shifted[jt, it] = act[js, is_]
-            interior &= shifted
-    interior[0, :] = interior[-1, :] = False
-    interior[:, 0] = interior[:, -1] = False
+    interior = ndimage.binary_erosion(chart.active, np.ones((3, 3)))
 
     excluded = sorted(set(F[degenerate].ravel().tolist()))
     H = np.full(nv, np.nan)

@@ -213,6 +213,16 @@ analysis.search_radius = 0.2
                      "--out", str(tmp_path)])
         assert code == 2
 
+    def test_component_count_mismatch_exit_code(self, tmp_path):
+        paths, _ = self._write_sequence(tmp_path)
+        chart = GridChart.torus(128, spin_structure="PP")
+        write_field(tmp_path / "bg2.spnf", SpinorField.zeros(chart, 2))
+        cfg = write_cfg(tmp_path / "c.cfg", "")
+        code = main(["blowup", "--config", cfg, "--fields", *paths,
+                     "--background", str(tmp_path / "bg2.spnf"), "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "blowup_report.json").exists()
+
     def test_too_few_fields(self, tmp_path):
         paths, _ = self._write_sequence(tmp_path)
         cfg = write_cfg(tmp_path / "c.cfg", "")

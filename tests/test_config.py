@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinflow.config import parse_config
+from spinflow.charts import GridChart
+from spinflow.config import _SCHEMA, parse_config
 from spinflow.errors import ConfigurationError
 from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH
 
@@ -42,6 +45,47 @@ class TestParsing:
     def test_bad_syntax(self):
         with pytest.raises(ConfigurationError, match="key = value"):
             parse_config("just a line")
+
+    @pytest.mark.parametrize("build", [
+        lambda: parse_config("chart.x0 = nan"),
+        lambda: parse_config("chart.x1 = inf"),
+        lambda: parse_config("solver.tol = inf"),
+        lambda: parse_config("analysis.radii = 0.1, nan"),
+        lambda: parse_config("chart.period_x = -inf"),
+        lambda: parse_config("reaction.h = nan"),
+        lambda: GridChart.torus(8, period_x=float("nan")),
+        lambda: GridChart.torus(8, period_x=1.0, period_y=float("inf")),
+        lambda: GridChart.disk(9, float("nan")),
+        lambda: GridChart.disk(9, float("inf")),
+        lambda: GridChart.disk(9, 1e160),
+        lambda: GridChart.rect(8, bounds=(float("nan"), 1.0, 0.0, 1.0)),
+        lambda: GridChart.rect(8, bounds=(0.0, 1.0, float("-inf"), 1.0)),
+        lambda: GridChart.rect(8, bounds=(-1e308, 1e308, 0.0, 1.0)),
+        lambda: GridChart.sphere(9, float("inf")),
+        lambda: GridChart.cylinder(8, 8, float("-inf"), 1.0),
+        lambda: GridChart.cylinder(8, 8, 0.0, float("nan")),
+    ], ids=["x0-nan", "x1-inf", "tol-inf", "radii-nan", "period-neg-inf", "h-nan",
+            "torus-period-nan", "torus-period-inf", "disk-nan", "disk-inf", "disk-huge",
+            "rect-nan", "rect-neg-inf", "rect-span-overflow", "sphere-inf",
+            "cylinder-t0-inf", "cylinder-t1-nan"])
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
+    @given(lines=st.lists(st.tuples(
+        st.sampled_from(sorted(_SCHEMA) + ["chart.bogus", ""]),
+        st.one_of(st.text(max_size=12), st.integers().map(str),
+                  st.floats().map(repr), st.just("nan"), st.just("1e999"),
+                  st.lists(st.floats(allow_nan=False), max_size=3).map(
+                      lambda v: ", ".join(map(repr, v))))), max_size=5),
+        junk=st.text(max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_parses_or_configuration_error(self, lines, junk):
+        text = "\n".join(f"{key} = {val}" for key, val in lines) + "\n" + junk
+        try:
+            parse_config(text)
+        except ConfigurationError:
+            pass
 
 
 class TestBuilders:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from spinflow.charts import GridChart, SpinorField
-from spinflow.dirac import (broken_stencil, dirac_apply, dirac_inverse_spectral,
-                            laplace_apply, symbol_report, weitzenboeck_residual)
+from spinflow.dirac import (broken_stencil, diff2_x, diff2_y, diff_x, diff_y, dirac_apply,
+                            dirac_inverse_spectral, laplace_apply, symbol_report,
+                            weitzenboeck_residual)
 from spinflow.errors import ConfigurationError, DomainError
 from spinflow.fields import torus_mode_field
 from spinflow.spinors import block_inner, energy
@@ -149,3 +150,51 @@ class TestSpinStructureSections:
     def test_mode_field_energy_finite(self, torus64):
         psi = torus_mode_field(torus64, 0.5, 1, seed=12)
         assert energy(psi) > 0
+
+
+def _active_at(chart, axis, d):
+    """Whether the node d steps along the array axis is active (False off grid)."""
+    pad = np.pad(chart.active, 2)
+    sl = [slice(2, -2), slice(2, -2)]
+    sl[axis] = slice(2 + d, 2 + d + chart.active.shape[axis])
+    return pad[tuple(sl)]
+
+
+class TestDiskRingStencils:
+    """Stencil choice on the boundary ring of coarse disks, where one-sided and
+    first-order stencils and the zero fallback are all reached."""
+
+    @pytest.mark.parametrize("nx", [9, 11, 13, 17, 33])
+    def test_first_derivative_of_linear_field(self, nx):
+        chart = GridChart.disk(nx, 1.0)
+        X, Y = chart.grid()
+        vals = np.zeros((nx, nx, 1, 2), complex)
+        vals[..., 0, 0] = 0.5 + 2.0 * X - 3.0 * Y
+        vals[..., 0, 1] = 1j * (1.0 - X + 0.25 * Y)
+        vals[~chart.active] = 0.0
+        for diff, axis, slope in ((diff_x, 1, (2.0, -1j)), (diff_y, 0, (-3.0, 0.25j))):
+            d = diff(vals, chart)[:, :, 0, :]
+            some = chart.active & (_active_at(chart, axis, -1) | _active_at(chart, axis, 1))
+            none = chart.active & ~some
+            np.testing.assert_allclose(d[some], np.broadcast_to(slope, d[some].shape),
+                                       rtol=0, atol=1e-11)
+            assert np.count_nonzero(none) == 2       # the two extreme ring nodes
+            assert np.all(d[none] == 0.0)
+            assert np.all(d[~chart.active] == 0.0)
+
+    @pytest.mark.parametrize("nx", [9, 11, 13, 17, 33])
+    def test_second_derivative_of_quadratic(self, nx):
+        chart = GridChart.disk(nx, 1.0)
+        X, Y = chart.grid()
+        vals = np.zeros((nx, nx, 1, 2), complex)
+        vals[..., 0, 0] = 1.0 + X + 2.0 * Y + 0.5 * X * X - 1.5 * X * Y + 0.75 * Y * Y
+        vals[..., 0, 1] = 1j * (X * X - Y * Y)
+        vals[~chart.active] = 0.0
+        for diff, axis, curv in ((diff2_x, 1, (1.0, 2j)), (diff2_y, 0, (1.5, -2j))):
+            d = diff(vals, chart)[:, :, 0, :]
+            m2, m1, p1, p2 = (_active_at(chart, axis, k) for k in (-2, -1, 1, 2))
+            second = chart.active & ((m1 & p1) | (p1 & p2) | (m1 & m2))
+            np.testing.assert_allclose(d[second], np.broadcast_to(curv, d[second].shape),
+                                       rtol=0, atol=1e-9)
+            assert np.all(d[chart.active & ~second] == 0.0)
+            assert np.all(d[~chart.active] == 0.0)

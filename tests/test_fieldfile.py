@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinflow.charts import GridChart, SpinorField
 from spinflow.errors import FormatError
@@ -99,3 +103,60 @@ class TestFormatErrors:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="spin structure tag"):
             read_field(p)
+
+    @pytest.mark.parametrize("chart, offset, patch", [
+        (GridChart.torus(8, spin_structure="PP"), 20, b"\x01"),
+        (GridChart.torus(8, spin_structure="PP"), 23, b"\x80"),
+        (GridChart.torus(8, spin_structure="PP"), 8, struct.pack("<II", 4, 16)),
+        (GridChart.disk(12), 8, struct.pack("<II", 16, 9)),
+        (GridChart.sphere(12), 8, struct.pack("<II", 16, 9)),
+        (GridChart.torus(8, spin_structure="PP"), 24, struct.pack("<d", float("nan"))),
+        (GridChart.torus(8, spin_structure="PP"), 32, struct.pack("<d", float("inf"))),
+        (GridChart.torus(8, spin_structure="PP"), 24, struct.pack("<d", 0.0)),
+        (GridChart.disk(9), 24, struct.pack("<d", -1.0)),
+        (GridChart.disk(9), 24, struct.pack("<d", float("nan"))),
+        (GridChart.rect(8), 32, struct.pack("<d", float("inf"))),
+        (GridChart.cylinder(8, 8, 0.0, 1.0), 32, struct.pack("<d", float("nan"))),
+        (GridChart.disk(9), 32, struct.pack("<d", 1.0)),
+        (GridChart.torus(8, spin_structure="PP"), 56, struct.pack("<d", float("nan"))),
+        (GridChart.disk(9), 56, struct.pack("<d", 1.0)),
+    ], ids=["reserved-20", "reserved-23", "torus-nx-4", "disk-ny-ne-nx", "sphere-ny-ne-nx",
+            "torus-period-nan", "torus-period-inf", "torus-period-0", "disk-radius-neg",
+            "disk-radius-nan", "rect-bound-inf", "cylinder-t1-nan", "disk-padding",
+            "value-nan", "disk-outside-data"])
+    def test_invalid_content_rejected(self, chart, offset, patch, tmp_path):
+        p = tmp_path / "t.spnf"
+        write_field(p, SpinorField.zeros(chart, 1))
+        raw = bytearray(p.read_bytes())
+        raw[offset:offset + len(patch)] = patch
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            read_field(p)
+
+
+FUZZ_BASES = [random_field(chart, n=1, seed=3) for chart in (
+    GridChart.torus(8, spin_structure="PA"), GridChart.disk(9, 0.8),
+    GridChart.rect(8, bounds=(-1.0, 2.0, 0.0, 1.0)), GridChart.sphere(8),
+    GridChart.cylinder(8, 8, -0.5, 1.25))]
+
+
+class TestFuzz:
+    @given(base=st.integers(0, len(FUZZ_BASES) - 1),
+           edits=st.lists(st.tuples(st.one_of(st.integers(0, 63), st.integers(0, 10 ** 6)),
+                                    st.integers(0, 255)), min_size=1, max_size=4),
+           cut=st.one_of(st.just(0), st.integers(1, 40)))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_bytes_read_back_or_format_error(self, tmp_path_factory, base, edits, cut):
+        path = tmp_path_factory.mktemp("fuzz") / "f.spnf"
+        write_field(path, FUZZ_BASES[base])
+        raw = bytearray(path.read_bytes())
+        for pos, byte in edits:
+            raw[pos % len(raw)] = byte
+        raw = bytes(raw[:len(raw) - cut])
+        path.write_bytes(raw)
+        try:
+            psi = read_field(path)
+        except FormatError:
+            return
+        write_field(path, psi)
+        assert path.read_bytes() == raw

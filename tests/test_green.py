@@ -95,6 +95,22 @@ class TestConvolve:
         with pytest.raises(PreconditionError):
             green_convolve(f)
 
+    @pytest.mark.parametrize("chart", [GridChart.disk(33),
+                                       GridChart.rect(33, bounds=(-1.0, 1.0, -1.0, 1.0))],
+                             ids=lambda c: c.kind)
+    def test_support_margin_two_nodes(self, chart):
+        # counted from the rim node of the middle row: the second node in is
+        # rejected, the third is accepted
+        mid = chart.ny // 2
+        rim = int(np.flatnonzero(chart.active[mid])[0])
+        f = SpinorField.zeros(chart, 1)
+        f.values[mid, rim + 1, 0, 0] = 1.0
+        with pytest.raises(PreconditionError):
+            green_convolve(f)
+        g = SpinorField.zeros(chart, 1)
+        g.values[mid, rim + 2, 0, 0] = 1.0
+        assert np.abs(green_convolve(g).values).max() > 0
+
 
 class TestDiskSolve:
     def test_constant_trace_harmonic(self, disk33):
