@@ -14,6 +14,7 @@ Library layout:
 * ``weierstrass`` surface reconstruction and geometric verification
 * ``fieldfile``   binary spinor-field serialization
 * ``config``      run configuration parsing/validation
+* ``verify``      the identity, rate and transfer checks of ``spinflow verify``
 * ``cli``         ``spinflow solve|reconstruct|blowup|verify``
 """
 

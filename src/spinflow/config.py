@@ -11,8 +11,9 @@ Example::
     solver.tol = 1e-9
     seed = 42
 
-Unknown keys are rejected; every numeric value is validated against its
-documented range, and float values must be finite (``nan``/``inf`` are
+Unknown keys are rejected, and so are chart keys the chosen domain does not
+read (``chart.ny`` on a disk, say); every numeric value is validated against
+its documented range, and float values must be finite (``nan``/``inf`` are
 rejected).  ``#`` starts a comment (full line or trailing).
 """
 
@@ -82,8 +83,6 @@ _SCHEMA = {
     "analysis.epsilon": (_parse_float, lambda v: v > 0, 0.01),
     "analysis.radii": (_parse_float_list, lambda v: len(v) > 0 and min(v) > 0,
                        (0.12, 0.1, 0.08)),
-    "analysis.delta": (_parse_float, lambda v: v > 0, 0.1),
-    "analysis.big_r": (_parse_float, lambda v: v > 0, 2.0),
     "analysis.search_radius": (_parse_float, lambda v: v > 0, 0.2),
     "verify.sizes": (_parse_int_list, lambda v: len(v) >= 2 and min(v) >= 16, (32, 64, 128)),
     "verify.ratio_trials": (int, lambda v: v >= 1, 6),
@@ -91,6 +90,14 @@ _SCHEMA = {
                            (33, 65)),
     "verify.break_stencil": (_parse_bool, lambda v: True, False),
     "seed": (int, lambda v: 0 <= v < 2 ** 64, 0),
+}
+
+# chart keys each domain reads (besides chart.domain)
+_DOMAIN_KEYS = {
+    "torus": ("nx", "ny", "period_x", "period_y", "spin_structure"),
+    "disk": ("nx", "radius"),
+    "rect": ("nx", "ny", "x0", "x1", "y0", "y1"),
+    "sphere": ("nx", "extent"),
 }
 
 
@@ -136,12 +143,6 @@ class RunConfig:
         preset = kind.split("_", 1)[1]
         return ChiralUV(preset, h=e["reaction.h"])
 
-    def reaction_components(self) -> int:
-        kind = self.entries["reaction.type"]
-        if kind in ("general_cubic", "curvature_cubic"):
-            return self.entries["reaction.n"]
-        return 1
-
 
 def parse_config(text: str) -> RunConfig:
     entries = {k: spec[2] for k, spec in _SCHEMA.items()}
@@ -166,6 +167,11 @@ def parse_config(text: str) -> RunConfig:
         if not validator(val):
             raise ConfigurationError(f"line {lineno}: {key} = {val!r} out of range")
         entries[key] = val
+    dom = entries["chart.domain"]
+    unread = sorted(k for k in seen if k.startswith("chart.") and k != "chart.domain"
+                    and k[len("chart."):] not in _DOMAIN_KEYS[dom])
+    if unread:
+        raise ConfigurationError(f"{', '.join(unread)} not read on a {dom} chart")
     return RunConfig(entries)
 
 

@@ -14,8 +14,6 @@ and the frequencies along an antiperiodic cycle become 2*pi*(k + 1/2)/L.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .charts import BOUNDARY, CYLINDER, DISK, TORUS, GridChart, SpinorField
@@ -24,22 +22,6 @@ from .spinors import lp_norm
 
 FD = "fd"
 SPECTRAL = "spectral"
-
-# Test hook: when != 1.0 the centered x-derivative is mis-scaled, which breaks
-# the Weitzenboeck identity at O(1).  Used by `spinflow verify` as a negative
-# control; never set in library code.
-_STENCIL_SCALE = 1.0
-
-
-@contextmanager
-def broken_stencil(scale: float = 1.05):
-    global _STENCIL_SCALE
-    old = _STENCIL_SCALE
-    _STENCIL_SCALE = scale
-    try:
-        yield
-    finally:
-        _STENCIL_SCALE = old
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +115,6 @@ def _derivative(values: np.ndarray, chart: GridChart, axis: int, order: int) -> 
     if chart.kind == DISK:
         out = _fix_disk_nodes(out, values, chart, axis, h, order=order)
         out[~chart.active] = 0.0
-    if axis == 1 and _STENCIL_SCALE != 1.0:
-        out = out * _STENCIL_SCALE
     return out
 
 
@@ -288,13 +268,17 @@ def dirac_inverse_spectral(f: SpinorField) -> SpinorField:
     return SpinorField(chart, spin_ifft2(out, chart), f.tag)
 
 
-def weitzenboeck_residual(psi: SpinorField, mode: str = SPECTRAL) -> float:
+def weitzenboeck_residual(psi: SpinorField, mode: str = SPECTRAL, op=None) -> float:
     """L2 norm of D(D psi) + Laplace psi.
 
     Exact (to roundoff) in spectral mode; O(h^2) in FD mode because the
     squared centered stencil is the wide 5-point star while the Laplacian
-    uses the compact one.
+    uses the compact one.  ``op(psi, mode)`` stands in for D (default
+    ``dirac_apply``), so a perturbed operator can be shown to fail the check.
     """
     _require_torus(psi.chart, "the Weitzenboeck check")
-    dd = dirac_apply(dirac_apply(psi, mode), mode)
+    # resolved per call, not bound as the default: a rebound dirac_apply
+    # (the benchmark's call tracer) is then the one used
+    op = dirac_apply if op is None else op
+    dd = op(op(psi, mode), mode)
     return lp_norm(dd + laplace_apply(psi, mode), 2.0)

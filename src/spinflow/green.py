@@ -22,7 +22,6 @@ Both routes evaluate the same sums, so they must agree to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,15 +41,12 @@ from .spinors import scalar_lp_norm
 _CACHE_CHARTS = 16
 
 
-@dataclass(frozen=True)
 class GreenKernel:
     """Evaluation rule for the free-space Dirac Green kernel.
 
-    ``regularization_radius`` is measured in cells; offsets below it use the
-    analytic cell average, which is zero because the kernel is odd.
+    Offsets closer than half a cell use the analytic cell average, which is
+    zero because the kernel is odd.
     """
-
-    regularization_radius: float = 1.0
 
     def matrix(self, x1: float, x2: float) -> np.ndarray:
         z = complex(x1, x2)
@@ -72,7 +68,7 @@ class GreenKernel:
         cell = chart.hx * chart.hy
         with np.errstate(divide="ignore", invalid="ignore"):
             g2 = cell / (2.0 * np.pi * Z)
-        g2[r < self.regularization_radius * min(chart.hx, chart.hy) * 0.5] = 0.0
+        g2[r < 0.5 * min(chart.hx, chart.hy)] = 0.0
         g1 = -np.conj(g2)
         return g1, g2
 
@@ -121,12 +117,11 @@ def _circular_conv_direct(kernel_grid: np.ndarray, src: np.ndarray) -> np.ndarra
 
 
 @lru_cache(maxsize=_CACHE_CHARTS)
-def _free_kernel_grids(chart: GridChart, kernel: GreenKernel):
-    return kernel.scalar_offset_grids(chart)
+def _free_kernel_grids(chart: GridChart):
+    return GreenKernel().scalar_offset_grids(chart)
 
 
-def green_convolve(f: SpinorField, method: str = "fft",
-                   kernel: GreenKernel | None = None) -> SpinorField:
+def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
     """Dirac-Newton potential of f: returns w with D w ~ f (O(h^2) in FD).
 
     ``method`` selects the accelerated FFT route (on the torus, the spectral
@@ -153,7 +148,7 @@ def green_convolve(f: SpinorField, method: str = "fft",
     if chart.kind not in (DISK, RECT):
         raise DomainError(f"green_convolve does not support {chart.kind!r} charts")
     _support_margin_check(f)
-    g1, g2 = _free_kernel_grids(chart, kernel or GreenKernel())
+    g1, g2 = _free_kernel_grids(chart)
     conv = _linear_conv_fft if method == "fft" else _linear_conv_direct
     for i in range(f.n):
         out[:, :, i, 0] = conv(g1, f.values[:, :, i, 1])
@@ -308,13 +303,12 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10,
 # empirical boundary-estimate ratio
 # ---------------------------------------------------------------------------
 
-def windowed_mode_field(chart: GridChart, stream: SplitMix64, n: int = 1,
-                        max_mode: int = 3, support=(0.45, 0.7)) -> SpinorField:
-    """Band-limited random field cut off smoothly inside the chart.
+def windowed_mode_field(chart: GridChart, stream: SplitMix64) -> SpinorField:
+    """Band-limited random one-component field cut off smoothly inside the
+    chart: modes |kx|, |ky| <= 3, window falling from 1 at 0.45 R to 0 at 0.7 R.
 
-    The coefficient stream is consumed in a fixed (component, slot, kx, ky)
-    order, so the same seed yields the same continuum field at every
-    resolution.
+    The coefficient stream is consumed in a fixed (slot, kx, ky) order, so the
+    same seed yields the same continuum field at every resolution.
     """
     if chart.kind == DISK:
         radius = chart.params[0]
@@ -323,18 +317,17 @@ def windowed_mode_field(chart: GridChart, stream: SplitMix64, n: int = 1,
     X, Y = chart.grid()
     cx, cy = 0.5 * (chart.xs[0] + chart.xs[-1]), 0.5 * (chart.ys[0] + chart.ys[-1])
     r = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
-    a, b = support[0] * radius, support[1] * radius
+    a, b = 0.45 * radius, 0.7 * radius
     window = smoothstep7((r - a) / (b - a))
-    ks = range(-max_mode, max_mode + 1)
-    v = np.zeros((chart.ny, chart.nx, n, 2), np.complex128)
-    for comp in range(n):
-        for s in (0, 1):
-            acc = np.zeros_like(X, dtype=np.complex128)
-            for kx in ks:
-                for ky in ks:
-                    c = stream.complex_symmetric()
-                    acc = acc + c * np.exp(1j * np.pi * (kx * (X - cx) + ky * (Y - cy)) / radius)
-            v[:, :, comp, s] = acc * window
+    ks = range(-3, 4)
+    v = np.zeros((chart.ny, chart.nx, 1, 2), np.complex128)
+    for s in (0, 1):
+        acc = np.zeros_like(X, dtype=np.complex128)
+        for kx in ks:
+            for ky in ks:
+                c = stream.complex_symmetric()
+                acc = acc + c * np.exp(1j * np.pi * (kx * (X - cx) + ky * (Y - cy)) / radius)
+        v[:, :, 0, s] = acc * window
     v[~chart.active] = 0.0
     return SpinorField(chart, v, "windowed-mode-field")
 
@@ -347,8 +340,7 @@ def gradient_magnitude(psi: SpinorField) -> np.ndarray:
                           axis=(2, 3)))
 
 
-def estimate_ratio(p: float, trials: int, refinements, seed: int = 0,
-                   method: str = "fft") -> dict:
+def estimate_ratio(p: float, trials: int, refinements, seed: int = 0) -> dict:
     """Empirical boundary-estimate constant for the Dirac-Newton potential.
 
     For seeded band-limited sources with zero trace contribution, reports the
@@ -370,7 +362,7 @@ def estimate_ratio(p: float, trials: int, refinements, seed: int = 0,
                                    chart, p)
             if fnorm == 0.0:
                 continue  # degenerate 0/0 trial
-            w = green_convolve(f, method=method)
+            w = green_convolve(f)
             gnorm = scalar_lp_norm(gradient_magnitude(w), chart, p)
             ratios.append(gnorm / fnorm)
         levels.append({"nx": int(nx), "max_ratio": float(max(ratios)),

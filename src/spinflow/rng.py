@@ -42,7 +42,3 @@ class SplitMix64:
         re = self.uniform_symmetric()
         im = self.uniform_symmetric()
         return complex(re, im)
-
-    def fork(self) -> "SplitMix64":
-        """Child stream seeded from the next output."""
-        return SplitMix64(self.next_u64())

@@ -141,8 +141,7 @@ def _real_unflatten(vec: np.ndarray, shape) -> np.ndarray:
 
 def newton_refine(spec: ReactionSpec, psi: SpinorField,
                   forcing: SpinorField | None = None, tol: float = 1e-10,
-                  max_steps: int = 5, gmres_rtol: float = 1e-10,
-                  guard: float = 0.5) -> tuple:
+                  max_steps: int = 5, gmres_rtol: float = 1e-10) -> tuple:
     """Newton steps on the torus; residual strictly decreases or the report
     flags stagnation (disk charts stagnate immediately: the inner linear
     solve is only wired to the spectral inverse)."""

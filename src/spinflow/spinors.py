@@ -73,18 +73,6 @@ def clifford_multiply(alpha: int, psi: SpinorField) -> SpinorField:
     return apply_matrix(SIGMA1 if alpha == 1 else SIGMA2, psi)
 
 
-def clifford_multiply_vector(vx, vy, psi: SpinorField) -> SpinorField:
-    """(vx e_1 + vy e_2) . psi with per-node scalar or array coefficients."""
-    v = psi.values
-    out = np.empty_like(v)
-    vx = np.asarray(vx)[..., None]
-    vy = np.asarray(vy)[..., None]
-    # (vx sigma1 + vy sigma2) = [[0, vx + i vy], [-vx + i vy, 0]]
-    out[..., 0] = (vx + 1j * vy) * v[..., 1]
-    out[..., 1] = (-vx + 1j * vy) * v[..., 0]
-    return SpinorField(psi.chart, out, psi.tag)
-
-
 def chirality_project(sign: int, psi: SpinorField) -> SpinorField:
     """Apply the chirality projector for sign = +1 or -1; idempotent."""
     if sign not in (+1, -1):

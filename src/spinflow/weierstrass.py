@@ -62,9 +62,6 @@ class SurfaceMesh:
     source_tag: str
     basepoint: tuple            # (iy, ix)
 
-    def active_vertex_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.chart.active.ravel())
-
 
 def _default_basepoint(chart: GridChart) -> tuple:
     cx = 0.5 * (chart.xs[0] + chart.xs[-1])

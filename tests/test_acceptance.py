@@ -16,7 +16,6 @@ import pytest
 
 from spinflow.charts import GridChart, SpinorField
 from spinflow.blowup import blowup_set, decay_profile, extract_bubble, ledger_assemble
-from spinflow.cli import _conformal_errors
 from spinflow.dirac import dirac_apply, weitzenboeck_residual
 from spinflow.fields import (bubble_profile_energy, compact_bump_field,
                              enneper_field, planted_bubble, shell_bubble,
@@ -25,6 +24,7 @@ from spinflow.green import estimate_ratio, green_convolve
 from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH
 from spinflow.solve import newton_refine, picard_solve, residual
 from spinflow.spinors import CliffordRep, chirality_project, energy
+from spinflow.verify import _conformal_errors
 from spinflow.weierstrass import (integrate_surface, mean_curvature, mesh_area,
                                   null_identity_defect)
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from spinflow.charts import GridChart, SpinorField
 from spinflow.cli import main
@@ -258,3 +259,59 @@ class TestVerify:
             outs.append((proc.stdout,
                          (tmp_path / "verify_report.json").read_bytes()))
         assert outs[0] == outs[1] == outs[2]
+
+
+def _exit_case(name, tmp_path):
+    """(argv, expected stderr fragment) of one pinned exit-code case."""
+    cfg = tmp_path / "c.cfg"
+    if name == "ok":
+        write_cfg(cfg, "chart.nx = 32\nreaction.h = 0.0\nsolver.newton = false\n")
+        return ["solve", "--config", str(cfg), "--out", str(tmp_path)], ""
+    if name == "verify-failed":
+        write_cfg(cfg, "verify.sizes = 32, 64\nverify.ratio_trials = 2\n"
+                       "verify.break_stencil = true\n")
+        return ["verify", "--config", str(cfg), "--out", str(tmp_path)], ""
+    if name == "config-range":
+        write_cfg(cfg, "chart.nx = 4\n")
+        return ["solve", "--config", str(cfg), "--out", str(tmp_path)], "out of range"
+    if name == "config-domain-key":
+        write_cfg(cfg, "chart.nx = 32\nchart.radius = 2.0\nreaction.h = 0.0\n"
+                       "solver.newton = false\n")
+        return (["solve", "--config", str(cfg), "--out", str(tmp_path)],
+                "chart.radius not read on a torus chart")
+    if name == "io":
+        return (["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)],
+                "i/o error")
+    if name == "format":
+        write_cfg(cfg, "")
+        (tmp_path / "corrupt.spnf").write_bytes(b"NOTAFIELD")
+        return (["reconstruct", "--config", str(cfg), "--field",
+                 str(tmp_path / "corrupt.spnf"), "--out", str(tmp_path)], "format error")
+    if name == "diverged":
+        write_cfg(cfg, "chart.nx = 32\nreaction.h = 1.0\nsolver.manufactured = true\n"
+                       "solver.amplitude = 4.0\n")
+        return ["solve", "--config", str(cfg), "--out", str(tmp_path)], "diverged"
+    # precondition: the search radius is too small for the extraction to
+    # bring the rescaled energy down to epsilon/2
+    chart = GridChart.torus(64, spin_structure="PP")
+    amp = (1.1 / bubble_profile_energy(1.0)) ** 0.25
+    paths = []
+    for m in range(6):
+        p = tmp_path / f"seq{m}.spnf"
+        write_field(p, SpinorField(chart, planted_bubble(chart, (0.5, 0.5),
+                                                         0.2 * 0.8 ** m, amp)))
+        paths.append(str(p))
+    write_cfg(cfg, "analysis.epsilon = 0.5\nanalysis.radii = 0.2, 0.15\n"
+                   "analysis.search_radius = 0.001\n")
+    return (["blowup", "--config", str(cfg), "--fields", *paths, "--out", str(tmp_path)],
+            "never reaches epsilon/2")
+
+
+@pytest.mark.parametrize("name,code", [
+    ("ok", 0), ("verify-failed", 1), ("config-range", 2), ("config-domain-key", 2),
+    ("io", 3), ("format", 4), ("diverged", 5), ("precondition", 6)])
+def test_exit_code_through_subprocess(tmp_path, name, code):
+    argv, message = _exit_case(name, tmp_path)
+    proc = run_cli(argv)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr

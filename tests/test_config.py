@@ -42,6 +42,26 @@ class TestParsing:
             with pytest.raises(ConfigurationError):
                 parse_config(line)
 
+    @pytest.mark.parametrize("domain,key", [
+        ("disk", "chart.ny = 33"), ("disk", "chart.period_x = 5"),
+        ("disk", "chart.spin_structure = PP"), ("disk", "chart.x0 = 0"),
+        ("torus", "chart.radius = 2"), ("torus", "chart.extent = 2"),
+        ("rect", "chart.period_y = 2"), ("rect", "chart.spin_structure = AA"),
+        ("sphere", "chart.ny = 9"), ("sphere", "chart.radius = 1"),
+    ])
+    def test_key_unread_by_domain_rejected(self, domain, key):
+        with pytest.raises(ConfigurationError, match="not read on a %s chart" % domain):
+            parse_config(f"chart.domain = {domain}\nchart.nx = 17\n{key}")
+
+    def test_keys_read_by_domain_accepted(self):
+        for text in ("chart.nx = 16\nchart.ny = 24\nchart.period_x = 2\n"
+                     "chart.period_y = 3\nchart.spin_structure = PA",
+                     "chart.domain = disk\nchart.nx = 17\nchart.radius = 2",
+                     "chart.domain = rect\nchart.nx = 9\nchart.ny = 11\nchart.x0 = 0\n"
+                     "chart.x1 = 2\nchart.y0 = 0\nchart.y1 = 1",
+                     "chart.domain = sphere\nchart.nx = 17\nchart.extent = 3"):
+            parse_config(text).build_chart()
+
     def test_bad_syntax(self):
         with pytest.raises(ConfigurationError, match="key = value"):
             parse_config("just a line")

@@ -151,7 +151,7 @@ class TestSphere:
 
 class TestConformalRates:
     def test_transfers_improve_at_least_second_order(self):
-        from spinflow.cli import _conformal_errors
+        from spinflow.verify import _conformal_errors
         errs = _conformal_errors((33, 65, 129), seed=0)
         for name in ("rescale", "cylinder", "sphere"):
             seq = errs[name]

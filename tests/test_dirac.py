@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from spinflow.charts import GridChart, SpinorField
-from spinflow.dirac import (broken_stencil, diff2_x, diff2_y, diff_x, diff_y, dirac_apply,
+from spinflow.dirac import (diff2_x, diff2_y, diff_x, diff_y, dirac_apply,
                             dirac_inverse_spectral, laplace_apply, symbol_report,
                             weitzenboeck_residual)
 from spinflow.errors import ConfigurationError, DomainError
 from spinflow.fields import torus_mode_field
 from spinflow.spinors import block_inner, energy
+from spinflow.verify import _broken_dirac
 
 from conftest import rel_l2
 
@@ -108,9 +109,9 @@ class TestWeitzenboeck:
     def test_broken_stencil_hook_breaks_identity(self, torus64):
         psi = torus_mode_field(torus64, 0.5, 1, seed=10)
         clean = weitzenboeck_residual(psi, "fd")
-        with broken_stencil():
-            broken = weitzenboeck_residual(psi, "fd")
+        broken = weitzenboeck_residual(psi, "fd", op=_broken_dirac)
         assert broken > 5.0 * clean
+        assert weitzenboeck_residual(psi, "fd", op=dirac_apply) == clean
 
 
 class TestKernel:
