@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy import ndimage
 
 from .charts import TORUS, GridChart, SpinorField
 from .conformal import rescale
 from .errors import (ConfigurationError, DegenerateFitError, ExtractionError,
                      PreconditionError)
-from .green import gradient_magnitude
+from .green import _linear_conv_fft, _offset_grid, gradient_magnitude
 from .spinors import energy, pointwise_norm
 
 
@@ -44,15 +43,9 @@ def local_energy_grid(psi: SpinorField, radius: float) -> np.ndarray:
         stamp = (d2 <= radius * radius).astype(float)
         out = np.fft.ifft2(np.fft.fft2(dens) * np.fft.fft2(stamp)).real
         return out
-    dx = (np.arange(-(chart.nx - 1), chart.nx) * chart.hx)[None, :]
-    dy = (np.arange(-(chart.ny - 1), chart.ny) * chart.hy)[:, None]
+    dx, dy = _offset_grid(chart)
     stamp = (dx * dx + dy * dy <= radius * radius).astype(float)
-    sy = scipy.fft.next_fast_len(3 * chart.ny - 2)
-    sx = scipy.fft.next_fast_len(3 * chart.nx - 2)
-    full = scipy.fft.irfft2(scipy.fft.rfft2(stamp, (sy, sx))
-                            * scipy.fft.rfft2(dens, (sy, sx)), (sy, sx))
-    out = full[chart.ny - 1:2 * chart.ny - 1, chart.nx - 1:2 * chart.nx - 1]
-    return np.maximum(out, 0.0)
+    return np.maximum(_linear_conv_fft(stamp, dens).real, 0.0)
 
 
 @dataclass(frozen=True)

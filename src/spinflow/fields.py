@@ -1,7 +1,11 @@
 """Canonical field constructions shared by the CLI, demos, and tests.
 
-Everything here is deterministic given a seed; coefficients are drawn from
-the splitmix64 stream in a fixed (component, slot, mode) order.
+Everything here is deterministic given a seed.  The seeded band-limited
+fields (``torus_mode_field`` here, ``green.windowed_mode_field``) are sums of
+plane waves built by ``plane_wave_sum``: the coefficients are drawn from the
+splitmix64 stream field by field ((component,) slot), mode by mode within a
+field, and each field is the product ``(E_y.T * c) @ E_x`` of the 1-D
+exponentials of its modes.
 """
 
 from __future__ import annotations
@@ -13,6 +17,21 @@ from .errors import ConfigurationError
 from .rng import SplitMix64
 
 DEFAULT_MODES = ((0, 0), (1, 0), (0, 1), (-1, -1))
+
+
+def plane_wave_sum(stream: SplitMix64, e_x: np.ndarray, e_y: np.ndarray,
+                   count: int) -> np.ndarray:
+    """``count`` fields sum_m c_m e_y[m, iy] e_x[m, ix], shape (count, ny, nx).
+
+    ``e_x`` (modes, nx) and ``e_y`` (modes, ny) hold each mode's 1-D
+    exponentials; the coefficients c_m come from ``stream``, all modes of the
+    first field, then all modes of the next.
+    """
+    out = np.empty((count, e_y.shape[1], e_x.shape[1]), np.complex128)
+    for f in range(count):
+        c = np.array([stream.complex_symmetric() for _ in range(e_x.shape[0])])
+        out[f] = (e_y.T * c) @ e_x
+    return out
 
 
 def torus_mode_field(chart: GridChart, amplitude: float = 0.3, n: int = 1,
@@ -27,17 +46,11 @@ def torus_mode_field(chart: GridChart, amplitude: float = 0.3, n: int = 1,
         raise ConfigurationError("mode fields are defined on torus charts")
     sx, sy = chart.spin_shifts
     Lx, Ly = chart.params
-    X, Y = chart.grid()
-    stream = SplitMix64(seed)
-    v = np.zeros((chart.ny, chart.nx, n, 2), np.complex128)
-    for comp in range(n):
-        for s in (0, 1):
-            acc = np.zeros_like(X, dtype=np.complex128)
-            for (kx, ky) in modes:
-                c = stream.complex_symmetric()
-                acc = acc + c * np.exp(2j * np.pi * ((kx + sx) * X / Lx
-                                                     + (ky + sy) * Y / Ly))
-            v[:, :, comp, s] = acc
+    kx, ky = np.array(modes, dtype=float).reshape(-1, 2).T[:, :, None]
+    e_x = np.exp(2j * np.pi * (kx + sx) * chart.xs / Lx)
+    e_y = np.exp(2j * np.pi * (ky + sy) * chart.ys / Ly)
+    v = np.stack(plane_wave_sum(SplitMix64(seed), e_x, e_y, 2 * n), axis=-1)
+    v = v.reshape(chart.ny, chart.nx, n, 2)
     top = np.abs(v).max()
     if top > 0:
         v *= amplitude / top

@@ -15,7 +15,11 @@ the shifted spectral symbol: the FFT route is the spectral inverse
 ``dirac_inverse_spectral`` itself, and the direct route sums the periodized
 kernel node by node as its independent oracle.  Disk and rect charts use the
 free-space kernel and require compact support away from the chart edge; there
-the FFT route pads to a linear convolution and the direct route sums it.
+the direct route sums the linear convolution node by node, and the FFT route
+(``_linear_conv_fft``, shared with ``blowup.local_energy_grid``) keeps the
+n-node output window of a circular convolution of size ``next_fast_len(2n-1)``
+per axis.  That is exact: wrap-around only reaches linear indices of at least
+2n-1, past the window.
 
 Both routes evaluate the same sums, so they must agree to roundoff.
 """
@@ -33,7 +37,7 @@ from .charts import DISK, RECT, TORUS, GridChart, SpinorField
 from .dirac import (_spin_phase, diff_x, diff_y, dirac_inverse_spectral,
                     dirac_symbols, require_invertible)
 from .errors import ConfigurationError, DomainError, PreconditionError, SolverError
-from .fields import smoothstep7
+from .fields import plane_wave_sum, smoothstep7
 from .rng import SplitMix64
 from .spinors import scalar_lp_norm
 
@@ -61,8 +65,7 @@ class GreenKernel:
         g2 multiplies f1 to produce w2; g1 multiplies f2 to produce w1.
         Offset (0, 0) sits at index (ny-1, nx-1).
         """
-        dx = (np.arange(-(chart.nx - 1), chart.nx) * chart.hx)[None, :]
-        dy = (np.arange(-(chart.ny - 1), chart.ny) * chart.hy)[:, None]
+        dx, dy = _offset_grid(chart)
         Z = dx + 1j * dy
         r = np.abs(Z)
         cell = chart.hx * chart.hy
@@ -83,13 +86,21 @@ def _support_margin_check(f: SpinorField, margin_cells: int = 2):
             "source must vanish within %d cells of the chart edge" % margin_cells)
 
 
+def _offset_grid(chart: GridChart):
+    """Node offsets (dx, dy) between any two nodes, broadcastable to shape
+    (2ny-1, 2nx-1), with offset (0, 0) at index (ny-1, nx-1)."""
+    dx = (np.arange(-(chart.nx - 1), chart.nx) * chart.hx)[None, :]
+    dy = (np.arange(-(chart.ny - 1), chart.ny) * chart.hy)[:, None]
+    return dx, dy
+
+
 def _linear_conv_fft(kernel_off: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """out[t] = sum_s kernel_off[t - s + (n-1)] src[s] for an offset-grid kernel
+    (see ``_offset_grid``): the window [n-1, 2n-1) of a circular convolution
+    of size at least 2n-1, which the wrap-around cannot reach."""
     ny, nx = src.shape
-    sy = scipy.fft.next_fast_len(3 * ny - 2)
-    sx = scipy.fft.next_fast_len(3 * nx - 2)
-    kh = scipy.fft.fft2(kernel_off, (sy, sx))
-    sh = scipy.fft.fft2(src, (sy, sx))
-    full = scipy.fft.ifft2(kh * sh)
+    shape = (scipy.fft.next_fast_len(2 * ny - 1), scipy.fft.next_fast_len(2 * nx - 1))
+    full = scipy.fft.ifft2(scipy.fft.fft2(kernel_off, shape) * scipy.fft.fft2(src, shape))
     return full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
 
 
@@ -307,8 +318,9 @@ def windowed_mode_field(chart: GridChart, stream: SplitMix64) -> SpinorField:
     """Band-limited random one-component field cut off smoothly inside the
     chart: modes |kx|, |ky| <= 3, window falling from 1 at 0.45 R to 0 at 0.7 R.
 
-    The coefficient stream is consumed in a fixed (slot, kx, ky) order, so the
-    same seed yields the same continuum field at every resolution.
+    The coefficient stream is consumed in a fixed (slot, kx, ky) order by
+    ``fields.plane_wave_sum``, so the same seed yields the same continuum
+    field at every resolution.
     """
     if chart.kind == DISK:
         radius = chart.params[0]
@@ -319,15 +331,10 @@ def windowed_mode_field(chart: GridChart, stream: SplitMix64) -> SpinorField:
     r = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
     a, b = 0.45 * radius, 0.7 * radius
     window = smoothstep7((r - a) / (b - a))
-    ks = range(-3, 4)
-    v = np.zeros((chart.ny, chart.nx, 1, 2), np.complex128)
-    for s in (0, 1):
-        acc = np.zeros_like(X, dtype=np.complex128)
-        for kx in ks:
-            for ky in ks:
-                c = stream.complex_symmetric()
-                acc = acc + c * np.exp(1j * np.pi * (kx * (X - cx) + ky * (Y - cy)) / radius)
-        v[:, :, 0, s] = acc * window
+    kx, ky = (k.ravel()[:, None] for k in np.mgrid[-3:4, -3:4])
+    e_x = np.exp(1j * np.pi * kx * (chart.xs - cx) / radius)
+    e_y = np.exp(1j * np.pi * ky * (chart.ys - cy) / radius)
+    v = np.stack(plane_wave_sum(stream, e_x, e_y, 2) * window, axis=-1)[:, :, None, :]
     v[~chart.active] = 0.0
     return SpinorField(chart, v, "windowed-mode-field")
 

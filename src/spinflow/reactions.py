@@ -3,10 +3,14 @@
 Variants:
 
 * ``GeneralCubic``   rhs^i = H^i_{jkl} <psi^j, psi^k> psi^l with a real
-  rank-4 coefficient tensor (constant or per-node).
+  rank-4 coefficient tensor, constant ``(n, n, n, n)`` or per-node
+  ``(ny, nx, n, n, n, n)``.  Both kinds go through one contraction: ``H``
+  with the pairing matrix ``<psi^j, psi^k>`` gives a per-node ``(n, n)``
+  matrix, which multiplies ``psi`` as a batched matmul.
 * ``ScalarH``        n = 1 special case  rhs = H |psi|^2 psi.
-* ``CurvatureCubic`` rhs^i = -(1/3) R^i_{jkl} <psi^j, psi^k> psi^l with a
-  constant tensor carrying curvature symmetries.
+* ``CurvatureCubic`` rhs^i = -(1/3) R^i_{jkl} <psi^j, psi^k> psi^l: a
+  ``GeneralCubic`` that checks the curvature symmetries of a constant ``R``
+  and stores ``-R/3`` as its ``.tensor``.
 * ``ChiralUV``       n = 1 chiral form rhs = [U Gamma_+ + V Gamma_-] psi with
   the Lie-group presets
 
@@ -25,14 +29,18 @@ works on real-stacked vectors.
 Coefficient bounds: ``h0`` is the sup of the cubic coefficient (for the
 chiral presets sup|H| + alpha with alpha = 1, 1/2, 3/2 for su2/nil/sl2, the
 combination controlling the chiral small-energy guards), ``h1`` the sup of
-its gradient by finite differences.
+its gradient by finite differences.  Coefficients are functions on the
+surface, not spinors: on a torus they are differentiated as periodic
+functions whatever the spin structure, so a constant ``H`` has ``h1 = 0``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .charts import GridChart, SpinorField
+from .charts import TORUS, GridChart, SpinorField
 from .dirac import diff_x, diff_y
 from .errors import ConfigurationError
 from .spinors import component_inners
@@ -52,14 +60,27 @@ def _as_node_scalar(h, chart: GridChart) -> np.ndarray:
     return arr
 
 
+def _gradient_sup(coeffs: np.ndarray, chart: GridChart) -> float:
+    """Sup over active nodes of |grad c| for real per-node coefficients of
+    shape (ny, nx, ...), maximized over the trailing entries.  A torus
+    coefficient is differentiated on the chart's PP twin: the spinor wrap sign
+    of an antiperiodic cycle does not apply to functions."""
+    if chart.kind == TORUS:
+        chart = replace(chart, spin_structure="PP")
+    flat = coeffs.reshape(chart.ny, chart.nx, -1)
+    g2 = np.max(diff_x(flat, chart) ** 2 + diff_y(flat, chart) ** 2, axis=2)
+    return float(np.sqrt(g2[chart.active]).max())
+
+
 def _scalar_bounds(h, chart: GridChart):
     arr = _as_node_scalar(h, chart)
-    gx = diff_x(arr[:, :, None, None].astype(complex), chart)[..., 0, 0].real
-    gy = diff_y(arr[:, :, None, None].astype(complex), chart)[..., 0, 0].real
-    act = chart.active
-    h0 = float(np.abs(arr[act]).max())
-    h1 = float(np.sqrt(gx ** 2 + gy ** 2)[act].max())
-    return h0, h1
+    return float(np.abs(arr[chart.active]).max()), _gradient_sup(arr, chart)
+
+
+def _contract(t: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_jkl t^i_jkl P^jk v^l per node, for a constant or per-node tensor:
+    one (n, n) matrix per node, then a batched matmul."""
+    return np.einsum("...ijkl,...jk->...il", t, P) @ v
 
 
 class ReactionSpec:
@@ -135,45 +156,27 @@ class GeneralCubic(ReactionSpec):
     def rhs(self, psi: SpinorField) -> SpinorField:
         self._check(psi)
         t = self._tensor_on(psi.chart)
-        P = component_inners(psi)
-        if t.ndim == 4:
-            out = np.einsum("ijkl,yxjk,yxls->yxis", t, P, psi.values)
-        else:
-            out = np.einsum("yxijkl,yxjk,yxls->yxis", t, P, psi.values)
+        out = _contract(t, component_inners(psi), psi.values)
         return SpinorField(psi.chart, out, psi.tag)
 
     def linearize(self, psi: SpinorField, delta: SpinorField) -> SpinorField:
         self._check(psi)
         t = self._tensor_on(psi.chart)
         v, d = psi.values, delta.values
-        P = component_inners(psi)
         dP = (np.einsum("yxjs,yxks->yxjk", d, np.conj(v))
               + np.einsum("yxjs,yxks->yxjk", v, np.conj(d)))
-        if t.ndim == 4:
-            out = (np.einsum("ijkl,yxjk,yxls->yxis", t, dP, v)
-                   + np.einsum("ijkl,yxjk,yxls->yxis", t, P, d))
-        else:
-            out = (np.einsum("yxijkl,yxjk,yxls->yxis", t, dP, v)
-                   + np.einsum("yxijkl,yxjk,yxls->yxis", t, P, d))
+        out = _contract(t, dP, v) + _contract(t, component_inners(psi), d)
         return SpinorField(psi.chart, out, psi.tag)
 
     def coefficient_bounds(self, chart: GridChart) -> tuple:
-        t = self.tensor
+        t = self._tensor_on(chart)
         if t.ndim == 4:
             return float(np.abs(t).max()), 0.0
-        h0 = float(np.abs(t[chart.active]).max())
-        flat = t.reshape(chart.ny, chart.nx, -1)
-        g2 = np.zeros((chart.ny, chart.nx))
-        for k in range(flat.shape[2]):
-            comp = flat[:, :, k][:, :, None, None].astype(complex)
-            gx = diff_x(comp, chart)[..., 0, 0].real
-            gy = diff_y(comp, chart)[..., 0, 0].real
-            g2 = np.maximum(g2, gx ** 2 + gy ** 2)
-        return h0, float(np.sqrt(g2[chart.active]).max())
+        return float(np.abs(t[chart.active]).max()), _gradient_sup(t, chart)
 
 
-class CurvatureCubic(ReactionSpec):
-    """Constant curvature tensor; evaluates -(1/3) R^i_{jkl} <psi^j,psi^k> psi^l."""
+class CurvatureCubic(GeneralCubic):
+    """Constant curvature tensor R; a ``GeneralCubic`` with tensor -R/3."""
 
     SYMMETRY_TOL = 1e-12
 
@@ -189,9 +192,7 @@ class CurvatureCubic(ReactionSpec):
         if defect > self.SYMMETRY_TOL:
             raise ConfigurationError(
                 f"curvature symmetries violated by {defect:.2e} (tol {self.SYMMETRY_TOL})")
-        self.tensor = t
-        self.n = t.shape[0]
-        self._general = GeneralCubic(-t / 3.0)
+        super().__init__(-t / 3.0)
 
     @staticmethod
     def constant_curvature(n: int, kappa: float) -> "CurvatureCubic":
@@ -202,18 +203,7 @@ class CurvatureCubic(ReactionSpec):
         return CurvatureCubic(t)
 
     def as_general_cubic(self) -> GeneralCubic:
-        return self._general
-
-    def rhs(self, psi: SpinorField) -> SpinorField:
-        self._check(psi)
-        return self._general.rhs(psi)
-
-    def linearize(self, psi: SpinorField, delta: SpinorField) -> SpinorField:
-        self._check(psi)
-        return self._general.linearize(psi, delta)
-
-    def coefficient_bounds(self, chart: GridChart) -> tuple:
-        return self._general.coefficient_bounds(chart)
+        return GeneralCubic(self.tensor)
 
 
 class ChiralUV(ReactionSpec):

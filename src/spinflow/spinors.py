@@ -124,13 +124,7 @@ def lp_norm(psi: SpinorField, p: float, region=None) -> float:
     """Discrete L^p norm of |psi| with the same quadrature weights as energy."""
     if not (p >= 1.0):
         raise PreconditionError("p must be in [1, inf]")
-    mask = _region_mask(psi.chart, region)
-    mags = pointwise_norm(psi)
-    if np.isinf(p):
-        vals = np.where(mask, mags, 0.0)
-        return float(vals.max()) if vals.size else 0.0
-    dens = mags ** p * psi.chart.weights
-    return float(np.sum(np.where(mask, dens, 0.0)) ** (1.0 / p))
+    return scalar_lp_norm(pointwise_norm(psi), psi.chart, p, region)
 
 
 def scalar_lp_norm(field: np.ndarray, chart: GridChart, p: float, region=None) -> float:

@@ -106,6 +106,23 @@ class TestBlowupSet:
         i = int(np.argmin(np.abs(torus128.xs - 0.5)))
         assert grid[j, i] == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("chart", [GridChart.disk(65), GridChart.rect(49, 41)],
+                             ids=["disk", "rect"])
+    def test_local_energy_grid_bounded_matches_direct_sum(self, chart):
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal((chart.ny, chart.nx, 1, 2)) + 0j
+        vals[~chart.active] = 0.0
+        psi = SpinorField(chart, vals)
+        radius = 0.23
+        grid = local_energy_grid(psi, radius)
+        jj, ii = np.mgrid[0:chart.ny, 0:chart.nx]
+        nodes = [(chart.ny // 2, chart.nx // 2), (3, chart.nx // 2), (chart.ny // 3, 2)]
+        for j, i in nodes:
+            ball = ((ii - i) * chart.hx) ** 2 + ((jj - j) * chart.hy) ** 2 <= radius ** 2
+            direct = energy(psi, ball & chart.active)
+            assert direct > 0
+            assert grid[j, i] == pytest.approx(direct, rel=1e-10)
+
 
 class TestExtractBubble:
     def test_planted_scale_recovery(self, torus128):

@@ -1,4 +1,5 @@
-"""The demos import only names that still exist (checked without running them)."""
+"""The demos and the benchmark tracer name only things that still exist
+(checked without running either)."""
 
 import ast
 import importlib
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _spinflow_imports(path):
@@ -27,3 +29,25 @@ def test_demo_imports_exist(demo):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{demo.name}: {module}.{name}"
+
+
+def _tracer_table(name):
+    """A literal table of perfbench/tracer.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py has no {name} table")
+
+
+def test_tracer_functions_exist():
+    # the tracer's install() raises on a missing name, which breaks --trace 1
+    pairs = [(module, name) for module, names in _tracer_table("FUNCTIONS").items()
+             for name in names]
+    assert pairs
+    for module, name in pairs:
+        mod = importlib.import_module(f"spinflow.{module}")
+        assert callable(getattr(mod, name, None)), f"spinflow.{module}.{name}"
+    reactions = importlib.import_module("spinflow.reactions")
+    for method in _tracer_table("METHODS"):
+        assert callable(getattr(reactions.ReactionSpec, method, None)), method

@@ -1,0 +1,201 @@
+"""The single cubic contraction, linear convolution and plane-wave sum against
+the implementations they replaced.
+
+Each reference is the earlier code kept verbatim in spirit: the three-operand
+einsums of ``GeneralCubic`` for constant and per-node tensors, the FFT linear
+convolution padded to 3n-2, and the per-mode full-grid exponential loops of
+both seeded field builders.  Results must agree to 1e-13 of their maximum;
+``lp_norm`` must equal its earlier quadrature bit for bit.
+"""
+
+import numpy as np
+import pytest
+import scipy.fft
+
+from spinflow.blowup import local_energy_grid
+from spinflow.charts import DISK, GridChart, SpinorField
+from spinflow.fields import DEFAULT_MODES, smoothstep7, torus_mode_field
+from spinflow.green import _free_kernel_grids, _linear_conv_fft, windowed_mode_field
+from spinflow.reactions import CurvatureCubic, GeneralCubic
+from spinflow.rng import SplitMix64
+from spinflow.spinors import _region_mask, component_inners, lp_norm, pointwise_norm
+
+from conftest import random_field
+
+SPINS = ("PP", "PA", "AP", "AA")
+TORI = [(16, 16), (24, 20), (33, 33)]
+BOUNDED = [GridChart.disk(nx) for nx in (17, 33, 65)] + \
+    [GridChart.rect(nx, ny) for nx, ny in ((17, 17), (33, 25), (40, 65))]
+
+
+def _close(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# cubic contraction
+# ---------------------------------------------------------------------------
+
+def _ref_contract(t, P, v):
+    if t.ndim == 4:
+        return np.einsum("ijkl,yxjk,yxls->yxis", t, P, v)
+    return np.einsum("yxijkl,yxjk,yxls->yxis", t, P, v)
+
+
+def _ref_rhs(t, psi):
+    return _ref_contract(t, component_inners(psi), psi.values)
+
+
+def _ref_linearize(t, psi, delta):
+    v, d = psi.values, delta.values
+    dP = (np.einsum("yxjs,yxks->yxjk", d, np.conj(v))
+          + np.einsum("yxjs,yxks->yxjk", v, np.conj(d)))
+    return _ref_contract(t, dP, v) + _ref_contract(t, component_inners(psi), d)
+
+
+@pytest.mark.parametrize("spin", SPINS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("size", TORI, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_cubic_contraction(spin, n, size):
+    nx, ny = size
+    chart = GridChart.torus(nx, ny, spin_structure=spin)
+    rng = np.random.default_rng(10 * n + nx)
+    psi = random_field(chart, n=n, seed=nx + n)
+    delta = random_field(chart, n=n, seed=nx + n + 1)
+    tensors = [rng.standard_normal((n,) * 4), rng.standard_normal((ny, nx) + (n,) * 4)]
+    for t in tensors:
+        spec = GeneralCubic(t)
+        _close(spec.rhs(psi).values, _ref_rhs(t, psi))
+        _close(spec.linearize(psi, delta).values, _ref_linearize(t, psi, delta))
+    curv = CurvatureCubic.constant_curvature(n, 1.3)
+    _close(curv.rhs(psi).values, _ref_rhs(curv.tensor, psi))
+    _close(curv.linearize(psi, delta).values, _ref_linearize(curv.tensor, psi, delta))
+
+
+# ---------------------------------------------------------------------------
+# linear grid convolution
+# ---------------------------------------------------------------------------
+
+def _ref_linear_conv_fft(kernel_off, src):
+    ny, nx = src.shape
+    sy = scipy.fft.next_fast_len(3 * ny - 2)
+    sx = scipy.fft.next_fast_len(3 * nx - 2)
+    full = scipy.fft.ifft2(scipy.fft.fft2(kernel_off, (sy, sx)) * scipy.fft.fft2(src, (sy, sx)))
+    return full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
+
+
+def _ref_local_energy_bounded(psi, radius):
+    chart = psi.chart
+    dens = pointwise_norm(psi) ** 4 * chart.weights
+    dx = (np.arange(-(chart.nx - 1), chart.nx) * chart.hx)[None, :]
+    dy = (np.arange(-(chart.ny - 1), chart.ny) * chart.hy)[:, None]
+    stamp = (dx * dx + dy * dy <= radius * radius).astype(float)
+    sy = scipy.fft.next_fast_len(3 * chart.ny - 2)
+    sx = scipy.fft.next_fast_len(3 * chart.nx - 2)
+    full = scipy.fft.irfft2(scipy.fft.rfft2(stamp, (sy, sx))
+                            * scipy.fft.rfft2(dens, (sy, sx)), (sy, sx))
+    out = full[chart.ny - 1:2 * chart.ny - 1, chart.nx - 1:2 * chart.nx - 1]
+    return np.maximum(out, 0.0)
+
+
+@pytest.mark.parametrize("chart", BOUNDED, ids=lambda c: f"{c.kind}{c.nx}x{c.ny}")
+def test_linear_convolution(chart):
+    src = random_field(chart, n=1, seed=chart.nx).values[:, :, 0, 0]
+    for kernel in _free_kernel_grids(chart):
+        _close(_linear_conv_fft(kernel, src), _ref_linear_conv_fft(kernel, src))
+    psi = random_field(chart, n=2, seed=chart.ny)
+    for radius in (0.05, 0.3):
+        _close(local_energy_grid(psi, radius), _ref_local_energy_bounded(psi, radius))
+
+
+# ---------------------------------------------------------------------------
+# seeded plane-wave sums
+# ---------------------------------------------------------------------------
+
+def _ref_torus_mode_field(chart, amplitude, n, seed, modes=DEFAULT_MODES):
+    sx, sy = chart.spin_shifts
+    Lx, Ly = chart.params
+    X, Y = chart.grid()
+    stream = SplitMix64(seed)
+    v = np.zeros((chart.ny, chart.nx, n, 2), np.complex128)
+    for comp in range(n):
+        for s in (0, 1):
+            acc = np.zeros_like(X, dtype=np.complex128)
+            for (kx, ky) in modes:
+                c = stream.complex_symmetric()
+                acc = acc + c * np.exp(2j * np.pi * ((kx + sx) * X / Lx
+                                                     + (ky + sy) * Y / Ly))
+            v[:, :, comp, s] = acc
+    top = np.abs(v).max()
+    if top > 0:
+        v *= amplitude / top
+    return v
+
+
+def _ref_windowed_mode_field(chart, stream):
+    if chart.kind == DISK:
+        radius = chart.params[0]
+    else:
+        radius = 0.5 * min(chart.xs[-1] - chart.xs[0], chart.ys[-1] - chart.ys[0])
+    X, Y = chart.grid()
+    cx, cy = 0.5 * (chart.xs[0] + chart.xs[-1]), 0.5 * (chart.ys[0] + chart.ys[-1])
+    r = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
+    a, b = 0.45 * radius, 0.7 * radius
+    window = smoothstep7((r - a) / (b - a))
+    v = np.zeros((chart.ny, chart.nx, 1, 2), np.complex128)
+    for s in (0, 1):
+        acc = np.zeros_like(X, dtype=np.complex128)
+        for kx in range(-3, 4):
+            for ky in range(-3, 4):
+                c = stream.complex_symmetric()
+                acc = acc + c * np.exp(1j * np.pi * (kx * (X - cx) + ky * (Y - cy)) / radius)
+        v[:, :, 0, s] = acc * window
+    v[~chart.active] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("spin", SPINS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("size", TORI, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_torus_mode_field(spin, n, size):
+    nx, ny = size
+    chart = GridChart.torus(nx, ny, period_x=1.0, period_y=1.7, spin_structure=spin)
+    for seed in (0, 7):
+        _close(torus_mode_field(chart, 0.4, n, seed).values,
+               _ref_torus_mode_field(chart, 0.4, n, seed))
+    modes = ((2, -1), (0, 3), (-2, 0))
+    _close(torus_mode_field(chart, 0.4, n, 5, modes).values,
+           _ref_torus_mode_field(chart, 0.4, n, 5, modes))
+
+
+@pytest.mark.parametrize("chart", BOUNDED, ids=lambda c: f"{c.kind}{c.nx}x{c.ny}")
+def test_windowed_mode_field(chart):
+    for seed in (3, 11):
+        _close(windowed_mode_field(chart, SplitMix64(seed)).values,
+               _ref_windowed_mode_field(chart, SplitMix64(seed)))
+
+
+# ---------------------------------------------------------------------------
+# spinor L^p norm on the scalar quadrature
+# ---------------------------------------------------------------------------
+
+def _ref_lp_norm(psi, p, region=None):
+    mask = _region_mask(psi.chart, region)
+    mags = pointwise_norm(psi)
+    if np.isinf(p):
+        vals = np.where(mask, mags, 0.0)
+        return float(vals.max()) if vals.size else 0.0
+    dens = mags ** p * psi.chart.weights
+    return float(np.sum(np.where(mask, dens, 0.0)) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("chart", [GridChart.disk(33), GridChart.torus(24, 20, spin_structure="AP")],
+                         ids=["disk", "torus"])
+@pytest.mark.parametrize("p", [4.0 / 3.0, 2.0, np.inf])
+def test_lp_norm_bit_identical(chart, p):
+    psi = random_field(chart, n=2, seed=9)
+    half = chart.active & (chart.grid()[0] < np.median(chart.xs))
+    for region in (None, half):
+        assert lp_norm(psi, p, region) == _ref_lp_norm(psi, p, region)

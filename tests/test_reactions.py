@@ -38,9 +38,20 @@ class TestScalarH:
 
     def test_bounds_of_varying_h(self, torus_pp):
         spec = ScalarH(lambda X, Y: 0.5 + 0.25 * np.sin(2 * np.pi * X))
-        h0, h1 = spec.coefficient_bounds(torus_pp)
-        assert h0 == pytest.approx(0.75, rel=1e-2)
-        assert h1 == pytest.approx(0.5 * np.pi, rel=1e-2)
+        for chart in (torus_pp, GridChart.torus(32, spin_structure="AA")):
+            h0, h1 = spec.coefficient_bounds(chart)
+            assert h0 == pytest.approx(0.75, rel=1e-2)
+            assert h1 == pytest.approx(0.5 * np.pi, rel=1e-2)
+
+    @pytest.mark.parametrize("spin", ["PP", "PA", "AP", "AA"])
+    def test_constant_coefficient_has_zero_gradient(self, spin):
+        # coefficients are functions: the spinor sign flip across an
+        # antiperiodic seam must not give a constant a jump
+        chart = GridChart.torus(32, spin_structure=spin)
+        specs = [ScalarH(0.5), ChiralUV("su2", h=0.5), ChiralUV("sl2", h=0.5),
+                 GeneralCubic(np.ones((32, 32, 2, 2, 2, 2)))]
+        for spec in specs:
+            assert spec.coefficient_bounds(chart)[1] == 0.0
 
 
 class TestChiralPresets:
@@ -139,6 +150,41 @@ class TestGeneralCubic:
             GeneralCubic(np.zeros((2, 2, 2, 2))).rhs(random_field(torus_pp, n=3))
 
 
+class TestPerNodeCubic:
+    def test_broadcast_constant_matches_constant(self, torus_pp):
+        t = np.random.default_rng(5).standard_normal((2, 2, 2, 2))
+        const = GeneralCubic(t)
+        node = GeneralCubic(np.broadcast_to(t, (32, 32, 2, 2, 2, 2)))
+        psi = random_field(torus_pp, n=2, seed=1)
+        delta = random_field(torus_pp, n=2, seed=2)
+        for a, b in ((const.rhs(psi), node.rhs(psi)),
+                     (const.linearize(psi, delta), node.linearize(psi, delta))):
+            assert np.abs(a.values - b.values).max() <= 1e-14 * np.abs(a.values).max()
+
+    def test_varying_tensor_matches_pointwise(self, torus_pp):
+        t = np.random.default_rng(6).standard_normal((32, 32, 2, 2, 2, 2))
+        psi = random_field(torus_pp, n=2, seed=3)
+        out = GeneralCubic(t).rhs(psi).values
+        for (y, x) in ((0, 0), (5, 17), (31, 30)):
+            v = psi.values[y, x]
+            ref = np.zeros((2, 2), complex)
+            for i in range(2):
+                for j in range(2):
+                    for k in range(2):
+                        for l in range(2):
+                            pair = np.sum(v[j] * np.conj(v[k]))
+                            ref[i] += t[y, x, i, j, k, l] * pair * v[l]
+            np.testing.assert_allclose(out[y, x], ref, rtol=1e-13, atol=1e-13)
+
+    def test_wrong_grid_shape_rejected(self, torus_pp):
+        spec = GeneralCubic(np.zeros((16, 32, 2, 2, 2, 2)))
+        psi = random_field(torus_pp, n=2)
+        for call in (lambda: spec.rhs(psi), lambda: spec.linearize(psi, psi),
+                     lambda: spec.coefficient_bounds(torus_pp)):
+            with pytest.raises(ConfigurationError):
+                call()
+
+
 class TestLinearization:
     @given(seed=st.integers(0, 2 ** 31))
     @settings(max_examples=10, deadline=None)
@@ -148,11 +194,13 @@ class TestLinearization:
         specs = [ScalarH(0.8),
                  GeneralCubic(rng.standard_normal((1, 1, 1, 1))),
                  ChiralUV("su2", h=0.6), ChiralUV("nil", h=0.6),
-                 ChiralUV("sl2", h=0.6)]
-        psi = random_field(chart, seed=seed, scale=0.5)
-        delta = random_field(chart, seed=seed + 9, scale=1.0)
+                 ChiralUV("sl2", h=0.6),
+                 GeneralCubic(rng.standard_normal((2, 2, 2, 2))),
+                 CurvatureCubic.constant_curvature(2, 1.3)]
         eps = 1e-5
         for spec in specs:
+            psi = random_field(chart, n=spec.n, seed=seed, scale=0.5)
+            delta = random_field(chart, n=spec.n, seed=seed + 9, scale=1.0)
             plus = spec.rhs(SpinorField(chart, psi.values + eps * delta.values))
             minus = spec.rhs(SpinorField(chart, psi.values - eps * delta.values))
             numeric = (plus.values - minus.values) / (2 * eps)
