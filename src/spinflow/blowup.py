@@ -20,6 +20,7 @@ from .conformal import rescale
 from .errors import (ConfigurationError, DegenerateFitError, ExtractionError,
                      PreconditionError)
 from .green import _linear_conv_fft, _offset_grid, gradient_magnitude
+from .solve import smallness
 from .spinors import energy, pointwise_norm
 
 
@@ -207,6 +208,10 @@ def neck_energy(psi: SpinorField, center, delta: float, R: float, lam: float) ->
     return energy(psi, region)
 
 
+# Fitted F(r) exponents below this are too weak for a removable singularity.
+DECAY_FLAG_BELOW = 0.05
+
+
 @dataclass
 class DecayProfile:
     radii: tuple
@@ -216,12 +221,12 @@ class DecayProfile:
     threshold: float
 
 
-def decay_profile(psi: SpinorField, radii, center=(0.0, 0.0),
-                  flag_below: float = 0.05) -> DecayProfile:
+def decay_profile(psi: SpinorField, radii, center=(0.0, 0.0)) -> DecayProfile:
     """F(r) = int_{B_r} |psi|^4 + |grad psi|^{4/3} and its log-log slope.
 
     A clearly positive fitted exponent is consistent with a removable
-    singularity at the center; an exponent below ``flag_below`` is flagged.
+    singularity at the center; an exponent below ``DECAY_FLAG_BELOW`` is
+    flagged.
     """
     chart = psi.chart
     radii = sorted((float(r) for r in radii), reverse=True)
@@ -240,7 +245,7 @@ def decay_profile(psi: SpinorField, radii, center=(0.0, 0.0),
         raise DegenerateFitError("F(r) vanishes for some radius; log fit undefined")
     slope = float(np.polyfit(np.log(radii), np.log(values), 1)[0])
     return DecayProfile(tuple(radii), tuple(values), slope,
-                        slope < flag_below, flag_below)
+                        slope < DECAY_FLAG_BELOW, DECAY_FLAG_BELOW)
 
 
 @dataclass(frozen=True)
@@ -296,6 +301,6 @@ def ledger_assemble(sequence, background: SpinorField, bubbles,
     bubble_sum = float(sum(b.energy for b in entries))
     defect = total_limit - background_e - bubble_sum
     bound = max(energy(f) for f in sequence)
-    guard_val = h0 * float(np.sqrt(bound))
+    block = smallness(h0, bound, guard)
     return EnergyLedger(total_limit, background_e, tuple(entries), defect,
-                        bound, guard_val, guard_val >= guard)
+                        bound, block["margin"], block["flagged"])

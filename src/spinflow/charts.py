@@ -174,13 +174,14 @@ class GridChart:
         return np.meshgrid(self.xs, self.ys)
 
     def min_image_offset(self, cx: float, cy: float):
-        """Offsets (dx, dy) of every node from the point (cx, cy), shape (ny, nx).
+        """Offsets (dx, dy) of every node from the point (cx, cy), of shapes
+        (1, nx) and (ny, 1): they broadcast against each other to the grid.
 
         On the torus each offset is the minimum image, in [-L/2, L/2); other
         charts return the plain coordinate differences.
         """
-        X, Y = self.grid()
-        dx, dy = X - cx, Y - cy
+        dx = (self.xs - cx)[None, :]
+        dy = (self.ys - cy)[:, None]
         if self.kind == TORUS:
             Lx, Ly = self.params
             dx = (dx + 0.5 * Lx) % Lx - 0.5 * Lx

@@ -7,9 +7,7 @@
     spinflow verify      --config cfg [--out dir] [--seed u64]
 
 Reports are JSON with sorted keys and no timestamps; identical config and
-seed reproduce identical bytes.  SPINFLOW_THREADS is accepted for interface
-compatibility and validated; the implementation is serial, so results are
-independent of it by construction.  The checks behind ``verify`` live in
+seed reproduce identical bytes.  The checks behind ``verify`` live in
 ``spinflow.verify``; this module parses arguments, runs the commands and
 writes their reports.
 
@@ -30,12 +28,12 @@ import numpy as np
 from . import blowup as blowup_mod
 from . import dirac
 from .charts import SpinorField
-from .config import RunConfig, load_config
+from .config import RunConfig, checked, load_config
 from .errors import (ConfigurationError, DivergenceError, FormatError,
                      SolverError, SpinflowError)
 from .fieldfile import read_field, write_field
 from .fields import torus_mode_field
-from .solve import newton_refine, picard_solve, residual, smallness_margin
+from .solve import newton_refine, picard_solve, residual, smallness
 from .spinors import energy
 from .verify import verify_report
 from .weierstrass import (integrate_surface, induced_metric_residual,
@@ -61,27 +59,12 @@ def _write_report(out_dir: str, name: str, report: dict) -> str:
     return path
 
 
-def _smallness_block(cfg: RunConfig, psi: SpinorField) -> dict:
-    spec = cfg.build_reaction()
-    guard = cfg["solver.guard"]
+def _h0(cfg: RunConfig, chart) -> float:
+    """Sup of the configured cubic coefficient on ``chart``; 0 if it has no bound."""
     try:
-        margin = smallness_margin(spec, psi)
-        h0 = spec.coefficient_bounds(psi.chart)[0]
+        return cfg.build_reaction().coefficient_bounds(chart)[0]
     except ConfigurationError:
-        margin, h0 = 0.0, 0.0
-    return {"h0": h0, "margin": margin, "guard": guard,
-            "flagged": bool(margin >= guard)}
-
-
-def _threads_env() -> int:
-    raw = os.environ.get("SPINFLOW_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"SPINFLOW_THREADS must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ConfigurationError("SPINFLOW_THREADS must be >= 1")
-    return val
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +105,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, seed: int) -> int:
     _, final_res = residual(spec, psi, forcing, mode="spectral")
     report["final_residual"] = final_res
     report["energy"] = energy(psi)
-    report["smallness"] = _smallness_block(cfg, psi)
+    report["smallness"] = smallness(_h0(cfg, chart), report["energy"], cfg["solver.guard"])
     if psi_star is not None:
         report["manufactured_error_sup"] = float(np.abs(psi.values - psi_star.values).max())
     write_field(os.path.join(out_dir, "solution.spnf"), psi)
@@ -143,13 +126,11 @@ def _write_obj(path: str, mesh) -> None:
     act = chart.active.ravel()
     remap = -np.ones(act.size, dtype=np.int64)
     remap[act] = np.arange(int(act.sum()))
-    V = mesh.vertices.reshape(-1, 3)
+    vertices = mesh.vertices.reshape(-1, 3)[act].tolist()
+    faces = (remap[mesh.faces] + 1).tolist()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for vid in np.flatnonzero(act):
-            x, y, z = (float(c) for c in V[vid])
-            fh.write(f"v {x!r} {y!r} {z!r}\n")
-        for (a, b, c) in mesh.faces:
-            fh.write(f"f {remap[a] + 1} {remap[b] + 1} {remap[c] + 1}\n")
+        fh.writelines(f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices)
+        fh.writelines(f"f {a} {b} {c}\n" for a, b, c in faces)
 
 
 def _cmd_reconstruct(cfg: RunConfig, out_dir: str, field_path: str) -> int:
@@ -176,7 +157,7 @@ def _cmd_reconstruct(cfg: RunConfig, out_dir: str, field_path: str) -> int:
             "mean_abs_interior": float(np.abs(finite).mean()) if finite.size else 0.0,
             "excluded_vertices": len(excluded),
         },
-        "smallness": _smallness_block(cfg, psi),
+        "smallness": smallness(_h0(cfg, psi.chart), e, cfg["solver.guard"]),
     }
     obj_path = os.path.join(out_dir, "surface.obj")
     _write_obj(obj_path, mesh)
@@ -206,11 +187,7 @@ def _cmd_blowup(cfg: RunConfig, out_dir: str, field_paths, background_path) -> i
     eps = cfg["analysis.epsilon"]
     radii = cfg["analysis.radii"]
     points = blowup_mod.blowup_set(sequence, eps, radii)
-    spec = cfg.build_reaction()
-    try:
-        h0 = spec.coefficient_bounds(sequence[0].chart)[0]
-    except ConfigurationError:
-        h0 = 0.0
+    h0 = _h0(cfg, sequence[0].chart)
     bubbles = []
     point_reports = []
     for p in points:
@@ -243,8 +220,7 @@ def _cmd_blowup(cfg: RunConfig, out_dir: str, field_paths, background_path) -> i
             "defect_fraction": abs(ledger.defect) / max(ledger.total_limit, 1e-300),
             "energy_bound": ledger.energy_bound,
         },
-        "smallness": {"h0": h0, "margin": ledger.guard,
-                      "guard": cfg["solver.guard"], "flagged": ledger.guard_flagged},
+        "smallness": smallness(h0, ledger.energy_bound, cfg["solver.guard"]),
     }
     path = _write_report(out_dir, "blowup_report.json", report)
     sys.stdout.write(f"blowup: points={len(points)} defect={ledger.defect:.4e} "
@@ -287,9 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _threads_env()
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg["seed"]
+        seed = cfg["seed"] if args.seed is None else checked("seed", args.seed, "--seed")
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "solve":

@@ -101,6 +101,14 @@ _DOMAIN_KEYS = {
 }
 
 
+def checked(key: str, val, source: str):
+    """``val`` if it satisfies the range rule of config key ``key``; otherwise a
+    ConfigurationError that names ``source`` and the key."""
+    if not _SCHEMA[key][1](val):
+        raise ConfigurationError(f"{source}: {key} = {val!r} out of range")
+    return val
+
+
 @dataclass
 class RunConfig:
     entries: dict
@@ -159,14 +167,12 @@ def parse_config(text: str) -> RunConfig:
         if key in seen:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        parser, validator, _default = _SCHEMA[key]
+        parser = _SCHEMA[key][0]
         try:
             val = parser(raw_val)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        if not validator(val):
-            raise ConfigurationError(f"line {lineno}: {key} = {val!r} out of range")
-        entries[key] = val
+        entries[key] = checked(key, val, f"line {lineno}")
     dom = entries["chart.domain"]
     unread = sorted(k for k in seen if k.startswith("chart.") and k != "chart.domain"
                     and k[len("chart."):] not in _DOMAIN_KEYS[dom])

@@ -143,14 +143,13 @@ def cylinder_segment_energy(cyl: SpinorField, t_lo: float, t_hi: float) -> float
     return energy(cyl, region)
 
 
-def sphere_transfer(psi: SpinorField, direction: str,
-                    decay_tol: float = 1e-3) -> SpinorField:
+def sphere_transfer(psi: SpinorField, direction: str) -> SpinorField:
     """Stereographic transfer with conformal weight 1/2.
 
     ``toSphere`` requires a centered square rect chart and a field whose
-    energy in the outer band (beyond 85% of the extent) is below ``decay_tol``
-    of the total, since the band is carried to a neighborhood of the north
-    pole.  ``toPlane`` inverts exactly on the shared grid.
+    energy in the outer band (beyond 85% of the extent) is below 1e-3 of the
+    total, since the band is carried to a neighborhood of the north pole.
+    ``toPlane`` inverts exactly on the shared grid.
     """
     from .spinors import energy
 
@@ -168,9 +167,9 @@ def sphere_transfer(psi: SpinorField, direction: str,
         X, Y = chart.grid()
         band = np.maximum(np.abs(X), np.abs(Y)) > 0.85 * x1
         outer = energy(psi, band & chart.active)
-        if total > 0 and outer > decay_tol * total:
+        if total > 0 and outer > 1e-3 * total:
             raise DecayError(
-                f"outer-band energy fraction {outer / total:.3e} exceeds {decay_tol:.1e}")
+                f"outer-band energy fraction {outer / total:.3e} exceeds 1.0e-03")
         target = GridChart.sphere(chart.nx, extent=x1)
         rho = 2.0 / (1.0 + X * X + Y * Y)
         vals = psi.values * (rho ** -0.5)[..., None, None]

@@ -41,14 +41,8 @@ _HEADER = struct.Struct("<5sBBBIIII4d")
 
 
 def _chart_params(chart: GridChart) -> tuple:
-    p = chart.params
-    if chart.kind == TORUS:
-        return (p[0], p[1], 0.0, 0.0)
-    if chart.kind in (DISK, SPHERE):
-        return (p[0], 0.0, 0.0, 0.0)
-    if chart.kind == RECT:
-        return p
-    return (p[0], p[1], 0.0, 0.0)
+    """The chart's domain parameters, zero-padded to four."""
+    return tuple(chart.params) + (0.0,) * (4 - len(chart.params))
 
 
 def _chart_from_header(tag, spin, nx, ny, params) -> GridChart:

@@ -77,55 +77,53 @@ def smoothstep7(u: np.ndarray) -> np.ndarray:
     return 1.0 - (35 * u ** 4 - 84 * u ** 5 + 70 * u ** 6 - 20 * u ** 7)
 
 
-def cut_gaussian_profile(u2: np.ndarray, cut_start: float = 1.0,
-                         cut_width: float = 0.4) -> np.ndarray:
-    """exp(-|u|^2/2) cut smoothly to zero on [cut_start, cut_start+cut_width]."""
+GAUSSIAN_CUT = (1.0, 0.4)       # (start, width) of the planted bubble's cut
+
+
+def cut_gaussian_profile(u2: np.ndarray) -> np.ndarray:
+    """exp(-|u|^2/2) cut smoothly to zero for |u| from 1.0 to 1.4."""
+    start, width = GAUSSIAN_CUT
     u = np.sqrt(u2)
-    return np.exp(-u2 / 2.0) * smoothstep7((u - cut_start) / cut_width)
+    return np.exp(-u2 / 2.0) * smoothstep7((u - start) / width)
 
 
-def planted_bubble(chart: GridChart, center, lam: float, amplitude: float,
-                   slot: int = 0, cut_start: float = 1.0,
-                   cut_width: float = 0.4) -> np.ndarray:
-    """Values array of one concentrated bubble: amplitude/sqrt(lam) times the
-    compact Gaussian profile at scale lam around the center (min-image on the
-    torus)."""
+def planted_bubble(chart: GridChart, center, lam: float, amplitude: float) -> np.ndarray:
+    """Values array of one concentrated bubble in slot 0: amplitude/sqrt(lam)
+    times the compact Gaussian profile at scale lam around the center
+    (min-image on the torus)."""
     dx, dy = chart.min_image_offset(*center)
-    prof = amplitude / np.sqrt(lam) * cut_gaussian_profile(
-        (dx * dx + dy * dy) / (lam * lam), cut_start, cut_width)
+    prof = amplitude / np.sqrt(lam) * cut_gaussian_profile((dx * dx + dy * dy) / (lam * lam))
     out = np.zeros((chart.ny, chart.nx, 1, 2), np.complex128)
-    out[:, :, 0, slot] = prof
+    out[:, :, 0, 0] = prof
     return out
 
 
-def bubble_profile_energy(amplitude: float, cut_start: float = 1.0,
-                          cut_width: float = 0.4) -> float:
+def bubble_profile_energy(amplitude: float) -> float:
     """Scale-invariant quartic energy of the planted bubble (radial quadrature
     oracle, independent of any chart)."""
     from scipy.integrate import quad
 
     def integrand(s):
-        return cut_gaussian_profile(np.array([s * s]), cut_start, cut_width)[0] ** 4 * s
+        return cut_gaussian_profile(np.array([s * s]))[0] ** 4 * s
 
-    val, _ = quad(integrand, 0.0, cut_start + cut_width + 0.5, limit=400)
+    val, _ = quad(integrand, 0.0, sum(GAUSSIAN_CUT) + 0.5, limit=400)
     return float(amplitude ** 4 * 2.0 * np.pi * val)
 
 
 SHELL_SUPPORT = (0.6, 1.4)
 
 
-def shell_bubble(chart: GridChart, center, lam: float, amplitude: float,
-                 slot: int = 0) -> np.ndarray:
-    """Bubble whose quartic mass concentrates in the annulus u in [0.6, 1.4]
-    at scale lam: the capture radius of any sizable energy fraction tracks
-    lam itself, which makes planted-scale recovery robust."""
+def shell_bubble(chart: GridChart, center, lam: float, amplitude: float) -> np.ndarray:
+    """Bubble in slot 0 whose quartic mass concentrates in the annulus u in
+    [0.6, 1.4] at scale lam: the capture radius of any sizable energy fraction
+    tracks lam itself, which makes planted-scale recovery robust."""
     a, b = SHELL_SUPPORT
     dx, dy = chart.min_image_offset(*center)
     u = np.hypot(dx, dy) / lam
     prof = np.where((u >= a) & (u <= b),
                     np.sin(np.pi * (u - a) / (b - a)) ** 2, 0.0)
     out = np.zeros((chart.ny, chart.nx, 1, 2), np.complex128)
-    out[:, :, 0, slot] = amplitude / np.sqrt(lam) * prof
+    out[:, :, 0, 0] = amplitude / np.sqrt(lam) * prof
     return out
 
 
@@ -139,15 +137,15 @@ def shell_profile_energy(amplitude: float) -> float:
     return float(amplitude ** 4 * 2.0 * np.pi * val)
 
 
-def compact_bump_field(chart: GridChart, width: float = 0.18,
-                       slot_mix: complex = 0.3j) -> SpinorField:
-    """Smooth compactly supported two-slot field centered on the chart,
-    vanishing identically beyond 80% of the usable radius."""
+def compact_bump_field(chart: GridChart) -> SpinorField:
+    """Smooth compactly supported two-slot field centered on the chart: a
+    Gaussian of width 0.18 and 0.3i z times it, vanishing identically beyond
+    80% of the usable radius."""
     X, Y = chart.grid()
     cx = 0.5 * (chart.xs[0] + chart.xs[-1])
     cy = 0.5 * (chart.ys[0] + chart.ys[-1])
     radius = 0.5 * min(chart.xs[-1] - chart.xs[0], chart.ys[-1] - chart.ys[0])
     r = np.hypot(X - cx, Y - cy)
-    g = np.exp(-(r / width) ** 2 / 2.0) * smoothstep7((r - 0.55 * radius) / (0.25 * radius))
+    g = np.exp(-(r / 0.18) ** 2 / 2.0) * smoothstep7((r - 0.55 * radius) / (0.25 * radius))
     z = (X - cx) + 1j * (Y - cy)
-    return SpinorField.from_components(chart, [(g, slot_mix * g * z)], tag="bump")
+    return SpinorField.from_components(chart, [(g, 0.3j * g * z)], tag="bump")

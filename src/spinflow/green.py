@@ -76,14 +76,13 @@ class GreenKernel:
         return g1, g2
 
 
-def _support_margin_check(f: SpinorField, margin_cells: int = 2):
+def _support_margin_check(f: SpinorField):
     act = f.chart.active
-    ring = act & ~ndimage.binary_erosion(act, iterations=margin_cells)
+    ring = act & ~ndimage.binary_erosion(act, iterations=2)
     mags = np.abs(f.values).max(axis=(2, 3))
     top = mags.max()
     if top > 0 and mags[ring].max() > 1e-13 * top:
-        raise PreconditionError(
-            "source must vanish within %d cells of the chart edge" % margin_cells)
+        raise PreconditionError("source must vanish within 2 cells of the chart edge")
 
 
 def _offset_grid(chart: GridChart):

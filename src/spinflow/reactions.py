@@ -129,7 +129,7 @@ class ScalarH(ReactionSpec):
 
 
 class GeneralCubic(ReactionSpec):
-    def __init__(self, tensor, n: int | None = None):
+    def __init__(self, tensor):
         t = np.asarray(tensor, dtype=float)
         if t.ndim == 4:
             if len(set(t.shape)) != 1:
@@ -142,8 +142,6 @@ class GeneralCubic(ReactionSpec):
         else:
             raise ConfigurationError("cubic tensor must have 4 (constant) or "
                                      "6 (per-node) axes")
-        if n is not None and n != self.n:
-            raise ConfigurationError("declared n does not match the tensor")
         self.tensor = t
 
     def _tensor_on(self, chart: GridChart) -> np.ndarray:

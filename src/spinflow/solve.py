@@ -36,11 +36,19 @@ def residual(spec: ReactionSpec, psi: SpinorField, forcing: SpinorField | None =
     return res, lp_norm(res, 4.0 / 3.0)
 
 
+def smallness(h0: float, e: float, guard: float) -> dict:
+    """The small-energy policy, written once for every report: the margin
+    h0 * sqrt(e) = h0 * ||psi||_{L4}^2 of a field of quartic energy ``e``,
+    flagged when it reaches the guard."""
+    margin = h0 * float(np.sqrt(e))
+    return {"h0": h0, "margin": margin, "guard": guard, "flagged": bool(margin >= guard)}
+
+
 def smallness_margin(spec: ReactionSpec, psi: SpinorField) -> float:
     """h0 * ||psi||_{L4}^2; values above the guard put the solve outside the
     proven contraction regime."""
     h0, _ = spec.coefficient_bounds(psi.chart)
-    return h0 * float(np.sqrt(energy(psi)))
+    return smallness(h0, energy(psi), np.inf)["margin"]
 
 
 @dataclass
@@ -116,8 +124,9 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
             report.converged = True
             break
     report.final_residual = report.residual_norms[-1] if report.residual_norms else np.inf
-    report.margin = smallness_margin(spec, psi)
-    report.guard_flagged = report.margin >= guard
+    block = smallness(spec.coefficient_bounds(chart)[0], energy(psi), guard)
+    report.margin = block["margin"]
+    report.guard_flagged = block["flagged"]
     return psi, report
 
 
@@ -141,7 +150,7 @@ def _real_unflatten(vec: np.ndarray, shape) -> np.ndarray:
 
 def newton_refine(spec: ReactionSpec, psi: SpinorField,
                   forcing: SpinorField | None = None, tol: float = 1e-10,
-                  max_steps: int = 5, gmres_rtol: float = 1e-10) -> tuple:
+                  max_steps: int = 5) -> tuple:
     """Newton steps on the torus; residual strictly decreases or the report
     flags stagnation (disk charts stagnate immediately: the inner linear
     solve is only wired to the spectral inverse)."""
@@ -171,7 +180,7 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
         op = scipy.sparse.linalg.LinearOperator(
             (2 * np.prod(shape), 2 * np.prod(shape)), matvec=matvec, dtype=float)
         rhs_vec = -_real_flatten(b_field.values)
-        sol, info = scipy.sparse.linalg.gmres(op, rhs_vec, rtol=gmres_rtol,
+        sol, info = scipy.sparse.linalg.gmres(op, rhs_vec, rtol=1e-10,
                                               atol=0.0, restart=40, maxiter=50)
         if info != 0:
             report.stagnated = True

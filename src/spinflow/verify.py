@@ -20,8 +20,7 @@ from .charts import GridChart, SpinorField
 from .config import RunConfig
 from .conformal import rescale, sphere_transfer, to_cylinder
 from .fields import compact_bump_field, torus_mode_field
-from .reactions import ScalarH
-from .solve import smallness_margin
+from .solve import smallness
 from .spinors import (CliffordRep, chirality_project, clifford_multiply, energy,
                       scalar_lp_norm)
 from .weierstrass import null_identity_defect
@@ -149,15 +148,12 @@ def verify_report(cfg: RunConfig, seed: int) -> dict:
                         for k in range(len(errs) - 1))
         add(f"conformal_{name}", last_ok and improving, errs, 5e-4)
 
-    margin_probe = smallness_margin(ScalarH(1.0), probe)
     report = {
         "command": "verify",
         "seed": seed,
         "sizes": list(int(s) for s in sizes),
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
-        "smallness": {"h0": 1.0, "margin": margin_probe,
-                      "guard": cfg["solver.guard"],
-                      "flagged": bool(margin_probe >= cfg["solver.guard"])},
+        "smallness": smallness(1.0, energy(probe), cfg["solver.guard"]),
     }
     return report

@@ -287,16 +287,25 @@ class TestAcceptance:
     def test_11_determinism(self, tmp_path):
         cfg = tmp_path / "verify.cfg"
         cfg.write_text("verify.sizes = 32, 64\nseed = 3\n", encoding="utf-8")
+        solve_cfg = tmp_path / "solve.cfg"
+        solve_cfg.write_text("chart.nx = 32\nreaction.type = general_cubic\n"
+                             "reaction.h = 1.0\nsolver.manufactured = true\nseed = 3\n",
+                             encoding="utf-8")
         outputs = []
         for threads in ("1", "4", "1"):
-            env = dict(os.environ, SPINFLOW_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "spinflow.cli", "verify",
-                 "--config", str(cfg), "--out", str(tmp_path)],
-                capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append((proc.stdout, (tmp_path / "verify_report.json").read_bytes()))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            run = []
+            for command, config in (("verify", cfg), ("solve", solve_cfg)):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "spinflow.cli", command,
+                     "--config", str(config), "--out", str(tmp_path)],
+                    capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                run.append(proc.stdout)
+            for name in ("verify_report.json", "solution.spnf", "solve_report.json"):
+                run.append((tmp_path / name).read_bytes())
+            outputs.append(run)
         ok = outputs[0] == outputs[1] == outputs[2]
         report("criterion-11 determinism", ok,
-               f"verify output bit-identical across runs and SPINFLOW_THREADS "
-               f"in {{1,4}}: {ok}")
+               f"verify and solve outputs bit-identical across runs and "
+               f"OPENBLAS_NUM_THREADS in {{1,4}}: {ok}")

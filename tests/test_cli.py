@@ -15,7 +15,6 @@ from spinflow.fields import (bubble_profile_energy, enneper_field,
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
-    env.setdefault("SPINFLOW_THREADS", "1")
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "spinflow.cli", *args],
@@ -78,6 +77,20 @@ solver.amplitude = 4.0
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("seed,code", [(-1, 2), (2 ** 64, 2), (2 ** 64 - 1, 0)])
+    def test_seed_flag_range(self, tmp_path, capsys, seed, code):
+        """--seed obeys the range rule of the config key seed."""
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "chart.nx = 32\nreaction.h = 0.0\nsolver.newton = false\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--seed", str(seed)]) == code
+        if code == 0:
+            assert json.loads((out / "solve_report.json").read_text())["seed"] == seed
+        else:
+            assert f"seed = {seed} out of range" in capsys.readouterr().err
+            assert not (out / "solution.spnf").exists()
 
     def test_solution_bytes_reproducible(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", """
@@ -251,13 +264,22 @@ class TestVerify:
 
     def test_bit_identical_across_runs_and_threads(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "verify.sizes = 32, 64\nseed = 3\n")
+        solve_cfg = write_cfg(tmp_path / "s.cfg",
+                              "chart.nx = 32\nreaction.type = general_cubic\n"
+                              "reaction.h = 1.0\nsolver.manufactured = true\nseed = 3\n")
         outs = []
         for threads in ("1", "4", "1"):
+            blas = {"OPENBLAS_NUM_THREADS": threads}
             proc = run_cli(["verify", "--config", cfg, "--out", str(tmp_path)],
-                           env_extra={"SPINFLOW_THREADS": threads})
+                           env_extra=blas)
             assert proc.returncode == 0
+            solve = run_cli(["solve", "--config", solve_cfg, "--out", str(tmp_path)],
+                            env_extra=blas)
+            assert solve.returncode == 0, solve.stderr
             outs.append((proc.stdout,
-                         (tmp_path / "verify_report.json").read_bytes()))
+                         (tmp_path / "verify_report.json").read_bytes(),
+                         (tmp_path / "solution.spnf").read_bytes(),
+                         (tmp_path / "solve_report.json").read_bytes()))
         assert outs[0] == outs[1] == outs[2]
 
 

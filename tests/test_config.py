@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,3 +132,22 @@ class TestBuilders:
         chi = parse_config("reaction.type = chiral_sl2\nreaction.h = 0.7"
                            ).build_reaction()
         assert isinstance(chi, ChiralUV) and chi.preset == "sl2"
+
+
+_ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    """A setting reaches the library only as a parameter or a config key:
+    no module under src/spinflow touches os.environ or os.getenv."""
+    src = Path(__file__).resolve().parents[1] / "src" / "spinflow"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in _ENV_READERS:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in _ENV_READERS]
+    assert len(list(src.glob("*.py"))) >= 15
+    assert found == []
