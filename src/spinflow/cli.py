@@ -251,7 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--seed", type=int, default=None)
+        if name in ("solve", "verify"):
+            p.add_argument("--seed", type=int, default=None)
         if name == "reconstruct":
             p.add_argument("--field", required=True)
         if name == "blowup":
@@ -264,7 +265,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = cfg["seed"] if args.seed is None else checked("seed", args.seed, "--seed")
+        if args.command in ("solve", "verify"):
+            seed = cfg["seed"] if args.seed is None else checked("seed", args.seed, "--seed")
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "solve":

@@ -153,7 +153,8 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
                   max_steps: int = 5) -> tuple:
     """Newton steps on the torus; residual strictly decreases or the report
     flags stagnation (disk charts stagnate immediately: the inner linear
-    solve is only wired to the spectral inverse)."""
+    solve is only wired to the spectral inverse).  ``report.reason`` is
+    "converged" on success and otherwise says why the steps stopped."""
     chart = psi.chart
     report = NewtonReport(False, False, 0)
     if chart.kind != TORUS:
@@ -167,7 +168,6 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
     report.residual_norms.append(rnorm)
     for step in range(1, max_steps + 1):
         if rnorm <= tol:
-            report.converged = True
             break
         res_field, _ = residual(spec, current, forcing, mode="spectral")
         b_field = dirac_inverse_spectral(res_field)
@@ -198,7 +198,9 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
         rnorm = new_norm
         report.residual_norms.append(rnorm)
         report.steps = step
-        if rnorm <= tol:
-            report.converged = True
-            break
+    if rnorm <= tol:
+        report.converged = True
+        report.reason = "converged"
+    elif not report.stagnated:
+        report.reason = f"not converged after {max_steps} steps"
     return current, report

@@ -157,6 +157,15 @@ class TestReconstruct:
                      "--field", str(tmp_path / "f.spnf"), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_seed_flag_rejected(self, tmp_path):
+        # reconstruct reads no seed, so the flag is an argparse usage error
+        cfg = write_cfg(tmp_path / "c.cfg", "")
+        proc = run_cli(["reconstruct", "--seed", "1", "--config", cfg,
+                        "--field", str(tmp_path / "f.spnf"), "--out", str(tmp_path)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: spinflow")
+        assert "unrecognized arguments: --seed 1" in proc.stderr
+
     def test_corrupt_field_exit_code(self, tmp_path):
         (tmp_path / "corrupt.spnf").write_bytes(b"NOTAFIELD")
         cfg = write_cfg(tmp_path / "c.cfg", "")

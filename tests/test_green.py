@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from spinflow.charts import GridChart, SpinorField
 from spinflow.dirac import dirac_apply
-from spinflow.errors import PreconditionError, SolverError
+from spinflow.errors import ConfigurationError, PreconditionError, SolverError
 from spinflow.fields import compact_bump_field
-from spinflow.green import (GreenKernel, boundary_trace_norm, disk_solve,
-                            estimate_ratio, green_convolve, windowed_mode_field,
-                            gradient_magnitude)
+from spinflow.green import (GreenKernel, _disk_system, boundary_trace_norm,
+                            disk_solve, estimate_ratio, green_convolve,
+                            windowed_mode_field, gradient_magnitude)
 from spinflow.rng import SplitMix64
 from spinflow.spinors import scalar_lp_norm
 
@@ -165,7 +166,7 @@ class TestDiskSolve:
         psi_star, f = self._manufactured(disk33)
         bn = disk33.boundary_nodes
         trace = psi_star.values[bn[:, 0], bn[:, 1]]
-        _, rep = disk_solve(f, trace)
+        _, rep = disk_solve(f, trace, method="cg")
         hist = rep["residual_histories"][0]
         assert hist[-1] <= 1e-10
         assert len(hist) >= 3
@@ -175,7 +176,7 @@ class TestDiskSolve:
         bn = disk33.boundary_nodes
         trace = psi_star.values[bn[:, 0], bn[:, 1]]
         with pytest.raises(SolverError) as err:
-            disk_solve(f, trace, tol=1e-14, max_iter=3)
+            disk_solve(f, trace, tol=1e-14, max_iter=3, method="cg")
         assert len(err.value.history) == 3
 
     def test_bounded_ratio_under_refinement(self):
@@ -193,6 +194,63 @@ class TestDiskSolve:
             den = scalar_lp_norm(fmag, chart, p) + boundary_trace_norm(chart, trace, p)
             ratios.append(num / den)
         assert max(ratios) / min(ratios) < 1.5
+
+
+def _manufactured_solve_data(nx):
+    chart = GridChart.disk(nx, 1.0)
+    psi_star, f = TestDiskSolve._manufactured(chart)
+    bn = chart.boundary_nodes
+    return chart, f, psi_star.values[bn[:, 0], bn[:, 1]]
+
+
+class TestDiskSolveLU:
+    @pytest.mark.parametrize("nx", (9, 17, 33, 65, 97))
+    @pytest.mark.parametrize("radius", (1.0, 0.73))
+    def test_slots_decouple(self, nx, radius):
+        # the structure the single half-size factor relies on
+        A = _disk_system(GridChart.disk(nx, radius))[0]
+        even = A[:, 0::2].getnnz(axis=1) > 0
+        odd = A[:, 1::2].getnnz(axis=1) > 0
+        assert not np.any(even & odd)
+        M = (A.conj().T @ A).tocsr()
+        diff = M[0::2, 0::2] - M[1::2, 1::2].conj()
+        assert diff.count_nonzero() == 0
+
+    def test_matches_cg(self):
+        _, f, trace = _manufactured_solve_data(49)
+        lu, rep = disk_solve(f, trace)
+        cg, _ = disk_solve(f, trace, method="cg")
+        assert rep["method"] == "lu"
+        assert rep["final_residual"] <= 1e-10
+        assert np.linalg.norm(lu.values - cg.values) <= 1e-8 * np.linalg.norm(cg.values)
+
+    @pytest.mark.parametrize("nx", (65, 129, 257))
+    def test_matches_lsmr(self, nx):
+        # forming A^H A squares the condition number; check against LSMR on A
+        chart, f, trace = _manufactured_solve_data(nx)
+        sol, _ = disk_solve(f, trace)
+        A, idx, corners = _disk_system(chart)
+        c0, c1, c2, c3 = f.values.reshape(-1, 1, 2)[corners]
+        b = np.concatenate([0.25 * (c0 + c1 + c2 + c3), trace / chart.h])[:, 0, :].ravel()
+        x = scipy.sparse.linalg.lsmr(A, b, atol=1e-14, btol=1e-14, maxiter=20 * A.shape[1])[0]
+        act = chart.active
+        got = np.stack([sol.values[act, 0, 0], sol.values[act, 0, 1]], axis=-1).ravel()
+        assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
+
+    def test_unreachable_tol_and_nonfinite_source_raise(self, disk33):
+        _, f, trace = _manufactured_solve_data(33)
+        with pytest.raises(SolverError) as err:
+            disk_solve(f, trace, tol=1e-30)
+        assert len(err.value.history) >= 3         # refinement ran, then stalled
+        bad = SpinorField.zeros(disk33, 1)
+        bad.values[16, 16, 0, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(SolverError):
+            disk_solve(bad, np.zeros_like(trace))
+
+    def test_unknown_method(self, disk33):
+        nb = disk33.boundary_nodes.shape[0]
+        with pytest.raises(ConfigurationError):
+            disk_solve(SpinorField.zeros(disk33, 1), np.zeros((nb, 1, 2)), method="qr")
 
 
 class TestEstimateRatio:

@@ -6,7 +6,7 @@ from spinflow.conformal import rescale
 from spinflow.dirac import dirac_apply, dirac_inverse_spectral
 from spinflow.errors import ConfigurationError, DivergenceError
 from spinflow.fields import torus_mode_field
-from spinflow.green import disk_solve, green_convolve
+from spinflow.green import _disk_factor, disk_solve, green_convolve
 from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH
 from spinflow.solve import (newton_refine, picard_solve, residual,
                             smallness_margin)
@@ -119,6 +119,18 @@ class TestPicard:
         sol_check, _ = disk_solve(spec.rhs(sol), trace)
         assert np.abs(sol_check.values - sol.values).max() < 1e-6
 
+    def test_disk_factor_built_once(self):
+        # every sweep reuses the chart's cached factor
+        chart = GridChart.disk(25, 1.0)
+        trace = np.zeros((chart.boundary_nodes.shape[0], 1, 2), complex)
+        trace[:, 0, 0] = 0.3
+        _disk_factor.cache_clear()
+        _, rep = picard_solve(ScalarH(0.4), SpinorField.zeros(chart, 1), trace=trace,
+                              tol=1e-8, max_iter=60)
+        assert rep.iterations == 26
+        info = _disk_factor.cache_info()
+        assert (info.misses, info.hits) == (1, 25)
+
 
 class TestNewton:
     def test_fixed_point_stays(self, torus64):
@@ -150,6 +162,17 @@ class TestNewton:
         _, rep = newton_refine(spec, sol, forcing=forcing, tol=1e-12, max_steps=4)
         rs = rep.residual_norms
         assert all(rs[k + 1] < rs[k] for k in range(len(rs) - 1))
+
+    def test_reason_names_the_stop(self, torus64):
+        spec = ScalarH(1.0)
+        _, forcing = manufactured(torus64, spec)
+        sol, _ = picard_solve(spec, SpinorField.zeros(torus64, 1),
+                              forcing=forcing, tol=1e-4)
+        _, rep = newton_refine(spec, sol, forcing=forcing, tol=1e-10)
+        assert rep.converged and rep.reason == "converged"
+        _, short = newton_refine(spec, sol, forcing=forcing, tol=1e-10, max_steps=1)
+        assert not short.converged and not short.stagnated
+        assert short.reason == "not converged after 1 steps"
 
     def test_disk_reports_stagnation(self):
         chart = GridChart.disk(25, 1.0)
