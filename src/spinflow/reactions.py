@@ -6,7 +6,7 @@ Variants:
   rank-4 coefficient tensor, constant ``(n, n, n, n)`` or per-node
   ``(ny, nx, n, n, n, n)``.  Both kinds go through one contraction: ``H``
   with the pairing matrix ``<psi^j, psi^k>`` gives a per-node ``(n, n)``
-  matrix, which multiplies ``psi`` as a batched matmul.
+  matrix, which multiplies ``psi`` node by node.
 * ``ScalarH``        n = 1 special case  rhs = H |psi|^2 psi.
 * ``CurvatureCubic`` rhs^i = -(1/3) R^i_{jkl} <psi^j, psi^k> psi^l: a
   ``GeneralCubic`` that checks the curvature symmetries of a constant ``R``
@@ -78,9 +78,13 @@ def _scalar_bounds(h, chart: GridChart):
 
 
 def _contract(t: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_jkl t^i_jkl P^jk v^l per node, for a constant or per-node tensor:
-    one (n, n) matrix per node, then a batched matmul."""
-    return np.einsum("...ijkl,...jk->...il", t, P) @ v
+    """sum_jkl t^i_jkl P^jk v^l per node: one (n, n) matrix M per node (one BLAS
+    GEMM over jk for a constant tensor, an einsum for a per-node one), then M v."""
+    if t.ndim == 4:
+        M = np.tensordot(P, t, axes=([-2, -1], [1, 2]))
+    else:
+        M = np.einsum("...ijkl,...jk->...il", t, P)
+    return np.einsum("...il,...ls->...is", M, v)
 
 
 class ReactionSpec:

@@ -2,9 +2,10 @@
 
 The fixed-point map is psi <- (1 - theta) psi + theta Dinv(rhs(psi) + forcing)
 with the exact spectral Dirac inverse on kernel-free torus spin structures,
-or the disk boundary-value solve with a fixed trace.  Contraction holds in
-the small-energy regime; the margin h0 * ||psi||_{L4}^2 against the
-configured guard is tracked every sweep and flagged, never enforced.
+or the disk boundary-value solve with a fixed trace.  The map contracts in
+the small-energy regime, so theta starts at 1 and only halves, down to a
+floor, when an update fails to shrink.  The margin h0 * ||psi||_{L4}^2
+against the configured guard is tracked every sweep and flagged, never enforced.
 
 Newton refinement linearizes the cubic term.  The derivative is only
 real-linear (Hermitian pairings conjugate one slot), so the linear solve runs
@@ -30,7 +31,11 @@ from .spinors import energy, lp_norm
 def residual(spec: ReactionSpec, psi: SpinorField, forcing: SpinorField | None = None,
              mode: str = "fd") -> tuple:
     """(residual field, its L^{4/3} norm) for D psi = rhs(psi) + forcing."""
-    res = dirac_apply(psi, mode) - spec.rhs(psi)
+    return _residual(psi, spec.rhs(psi), forcing, mode)
+
+
+def _residual(psi: SpinorField, reaction: SpinorField, forcing, mode: str) -> tuple:
+    res = dirac_apply(psi, mode) - reaction
     if forcing is not None:
         res = res - forcing
     return res, lp_norm(res, 4.0 / 3.0)
@@ -63,6 +68,8 @@ class PicardReport:
     guard_flagged: bool = False
     damping: float = 0.5
     tol: float = 1e-8
+    damping_history: list = field(default_factory=list)
+    reason: str = ""
 
 
 def _make_inverse(chart: GridChart, trace):
@@ -85,15 +92,17 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
                  forcing: SpinorField | None = None, damping: float = 0.5,
                  tol: float = 1e-8, max_iter: int = 400, guard: float = 0.5,
                  trace=None) -> tuple:
-    """Damped Picard iteration for D psi = rhs(psi) + forcing.
+    """Picard iteration for D psi = rhs(psi) + forcing.
 
+    The damping theta starts at 1 and halves, never below ``damping``, after
+    each sweep whose update norm does not fall (``report.damping_history``).
     Stops when the L2 norm of the update drops below ``tol``; on the torus
     (exact spectral inverse) the L^{4/3} residual must also reach 10 tol.  On
     the disk the reported residual is measured with the node-based FD operator
     and floors at its O(h^2) truncation against the cell-based inner solve, so
     only the update norm gates convergence there.  Raises DivergenceError when
-    the update norm grows by 10x over 20 iterations.  Returns
-    (psi, PicardReport).
+    the update norm grows by 10x over 20 iterations.  Returns (psi,
+    PicardReport); ``report.reason`` is "converged" or names the sweep limit.
     """
     if not (0.0 < damping <= 1.0):
         raise ConfigurationError("damping must lie in (0, 1]")
@@ -102,18 +111,19 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
     inverse, res_mode = _make_inverse(chart, trace)
     report = PicardReport(False, 0, damping=damping, tol=tol, guard=guard)
     psi = seed.copy()
+    theta = 1.0
+    reaction = spec.rhs(psi)  # of the current iterate: its residual and the next target
     for it in range(1, max_iter + 1):
         # Overflow on the way to the divergence check is an expected, handled path.
         with np.errstate(over="ignore", invalid="ignore"):
-            target = spec.rhs(psi)
-            if forcing is not None:
-                target = target + forcing
-            proposal = inverse(target)
-            new = (1.0 - damping) * psi + damping * proposal
+            proposal = inverse(reaction if forcing is None else reaction + forcing)
+            new = (1.0 - theta) * psi + theta * proposal
             du = lp_norm(new - psi, 2.0)
             report.update_norms.append(du)
+            report.damping_history.append(theta)
             psi = new
-            _, rnorm = residual(spec, psi, forcing, mode=res_mode)
+            reaction = spec.rhs(psi)
+            _, rnorm = _residual(psi, reaction, forcing, res_mode)
             report.residual_norms.append(rnorm)
         report.iterations = it
         if not np.isfinite(du) or (it > 20 and du > 10.0 * report.update_norms[it - 21]):
@@ -123,6 +133,9 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
         if du < tol and (res_mode != "spectral" or rnorm <= 10.0 * tol):
             report.converged = True
             break
+        if it > 1 and du >= report.update_norms[-2]:
+            theta = max(0.5 * theta, damping)
+    report.reason = "converged" if report.converged else f"not converged after {max_iter} sweeps"
     report.final_residual = report.residual_norms[-1] if report.residual_norms else np.inf
     block = smallness(spec.coefficient_bounds(chart)[0], energy(psi), guard)
     report.margin = block["margin"]
@@ -164,13 +177,11 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
     require_invertible(chart, "Newton refinement")
     shape = psi.values.shape
     current = psi.copy()
-    _, rnorm = residual(spec, current, forcing, mode="spectral")
+    res_field, rnorm = residual(spec, current, forcing, mode="spectral")
     report.residual_norms.append(rnorm)
     for step in range(1, max_steps + 1):
         if rnorm <= tol:
             break
-        res_field, _ = residual(spec, current, forcing, mode="spectral")
-        b_field = dirac_inverse_spectral(res_field)
 
         def matvec(vec):
             delta = SpinorField(chart, _real_unflatten(vec, shape))
@@ -179,7 +190,7 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
 
         op = scipy.sparse.linalg.LinearOperator(
             (2 * np.prod(shape), 2 * np.prod(shape)), matvec=matvec, dtype=float)
-        rhs_vec = -_real_flatten(b_field.values)
+        rhs_vec = -_real_flatten(dirac_inverse_spectral(res_field).values)
         sol, info = scipy.sparse.linalg.gmres(op, rhs_vec, rtol=1e-10,
                                               atol=0.0, restart=40, maxiter=50)
         if info != 0:
@@ -188,14 +199,13 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
             break
         candidate = SpinorField(chart, current.values + _real_unflatten(sol, shape),
                                 current.tag)
-        _, new_norm = residual(spec, candidate, forcing, mode="spectral")
+        new_field, new_norm = residual(spec, candidate, forcing, mode="spectral")
         if not np.isfinite(new_norm) or new_norm >= rnorm:
             report.stagnated = True
             report.reason = (f"residual did not decrease at step {step} "
                              f"({rnorm:.3e} -> {new_norm:.3e})")
             break
-        current = candidate
-        rnorm = new_norm
+        current, res_field, rnorm = candidate, new_field, new_norm
         report.residual_norms.append(rnorm)
         report.steps = step
     if rnorm <= tol:

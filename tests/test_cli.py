@@ -35,6 +35,8 @@ class TestSolve:
         assert code == 0
         rep = json.loads((tmp_path / "solve_report.json").read_text())
         assert rep["picard"]["converged"]
+        assert rep["picard"]["reason"] == "converged"
+        assert rep["final_residual"] == rep["picard"]["final_residual"]
         assert rep["energy"] <= 1e-12
         sol = read_field(tmp_path / "solution.spnf")
         assert np.abs(sol.values).max() < 1e-8
@@ -52,6 +54,8 @@ seed = 5
         assert code == 0
         rep = json.loads((tmp_path / "solve_report.json").read_text())
         assert rep["final_residual"] <= 1e-9
+        assert rep["final_residual"] == rep["newton"]["residual_history"][-1]
+        assert len(rep["picard"]["damping_history"]) == rep["picard"]["iterations"]
         assert rep["manufactured_error_sup"] <= 1e-9
         assert rep["smallness"]["flagged"] is False
 

@@ -2,7 +2,8 @@
 the implementations they replaced.
 
 Each reference is the earlier code kept verbatim in spirit: the three-operand
-einsums of ``GeneralCubic`` for constant and per-node tensors, the FFT linear
+einsums of ``GeneralCubic`` for constant and per-node tensors, the per-node
+einsum and batched matmul that ``_contract`` used before its GEMM, the FFT linear
 convolution padded to 3n-2, and the per-mode full-grid exponential loops of
 both seeded field builders.  Results must agree to 1e-13 of their maximum;
 ``lp_norm`` must equal its earlier quadrature bit for bit.
@@ -16,7 +17,7 @@ from spinflow.blowup import local_energy_grid
 from spinflow.charts import DISK, GridChart, SpinorField
 from spinflow.fields import DEFAULT_MODES, smoothstep7, torus_mode_field
 from spinflow.green import _free_kernel_grids, _linear_conv_fft, windowed_mode_field
-from spinflow.reactions import CurvatureCubic, GeneralCubic
+from spinflow.reactions import CurvatureCubic, GeneralCubic, _contract
 from spinflow.rng import SplitMix64
 from spinflow.spinors import _region_mask, component_inners, lp_norm, pointwise_norm
 
@@ -72,6 +73,26 @@ def test_cubic_contraction(spin, n, size):
     curv = CurvatureCubic.constant_curvature(n, 1.3)
     _close(curv.rhs(psi).values, _ref_rhs(curv.tensor, psi))
     _close(curv.linearize(psi, delta).values, _ref_linearize(curv.tensor, psi, delta))
+
+
+def _ref_two_step_contract(t, P, v):
+    return np.einsum("...ijkl,...jk->...il", t, P) @ v
+
+
+@pytest.mark.parametrize("n,per_node", [(1, False), (2, False), (3, False), (2, True)],
+                         ids=["n1", "n2", "n3", "n2-per-node"])
+def test_contract_against_einsum_matmul(n, per_node):
+    # _contract (GEMM for a constant tensor) against the per-node einsum and
+    # batched matmul it replaced; P as the pairing matrix, as a general complex
+    # matrix, and as a non-contiguous view
+    chart = GridChart.torus(24, 20, spin_structure="AA")
+    rng = np.random.default_rng(n)
+    psi = random_field(chart, n=n, seed=n)
+    t = rng.standard_normal(((chart.ny, chart.nx) if per_node else ()) + (n,) * 4)
+    general = rng.standard_normal((chart.ny, chart.nx, n, n)) \
+        + 1j * rng.standard_normal((chart.ny, chart.nx, n, n))
+    for P in (component_inners(psi), general, np.swapaxes(general, -1, -2)):
+        _close(_contract(t, P, psi.values), _ref_two_step_contract(t, P, psi.values))
 
 
 # ---------------------------------------------------------------------------
