@@ -153,7 +153,7 @@ class NewtonReport:
 
 
 def _real_flatten(values: np.ndarray) -> np.ndarray:
-    return np.concatenate([values.real.ravel(), values.imag.ravel()])
+    return np.stack([values.real, values.imag]).ravel()
 
 
 def _real_unflatten(vec: np.ndarray, shape) -> np.ndarray:
@@ -167,7 +167,9 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
     """Newton steps on the torus; residual strictly decreases or the report
     flags stagnation (disk charts stagnate immediately: the inner linear
     solve is only wired to the spectral inverse).  ``report.reason`` is
-    "converged" on success and otherwise says why the steps stopped."""
+    "converged" on success and otherwise says why the steps stopped.  A step
+    leaves about rtol * rnorm, so GMRES runs to rtol = 0.1 tol / rnorm in
+    [1e-10, 0.1].  ``psi`` is never written; the torus path does not copy it."""
     chart = psi.chart
     report = NewtonReport(False, False, 0)
     if chart.kind != TORUS:
@@ -176,36 +178,34 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
         return psi.copy(), report
     require_invertible(chart, "Newton refinement")
     shape = psi.values.shape
-    current = psi.copy()
-    res_field, rnorm = residual(spec, current, forcing, mode="spectral")
+    res_field, rnorm = residual(spec, psi, forcing, mode="spectral")
     report.residual_norms.append(rnorm)
     for step in range(1, max_steps + 1):
         if rnorm <= tol:
             break
 
         def matvec(vec):
-            delta = SpinorField(chart, _real_unflatten(vec, shape))
-            lin = spec.linearize(current, delta)
+            lin = spec.linearize(psi, SpinorField(chart, _real_unflatten(vec, shape)))
             return vec - _real_flatten(dirac_inverse_spectral(lin).values)
 
         op = scipy.sparse.linalg.LinearOperator(
             (2 * np.prod(shape), 2 * np.prod(shape)), matvec=matvec, dtype=float)
         rhs_vec = -_real_flatten(dirac_inverse_spectral(res_field).values)
-        sol, info = scipy.sparse.linalg.gmres(op, rhs_vec, rtol=1e-10,
-                                              atol=0.0, restart=40, maxiter=50)
+        del res_field   # not held through the Krylov solve
+        sol, info = scipy.sparse.linalg.gmres(op, rhs_vec, atol=0.0, restart=40, maxiter=50,
+                                              rtol=min(0.1, max(1e-10, 0.1 * tol / rnorm)))
         if info != 0:
             report.stagnated = True
             report.reason = f"gmres did not converge (info={info}) at step {step}"
             break
-        candidate = SpinorField(chart, current.values + _real_unflatten(sol, shape),
-                                current.tag)
+        candidate = SpinorField(chart, psi.values + _real_unflatten(sol, shape), psi.tag)
         new_field, new_norm = residual(spec, candidate, forcing, mode="spectral")
         if not np.isfinite(new_norm) or new_norm >= rnorm:
             report.stagnated = True
             report.reason = (f"residual did not decrease at step {step} "
                              f"({rnorm:.3e} -> {new_norm:.3e})")
             break
-        current, res_field, rnorm = candidate, new_field, new_norm
+        psi, res_field, rnorm = candidate, new_field, new_norm
         report.residual_norms.append(rnorm)
         report.steps = step
     if rnorm <= tol:
@@ -213,4 +213,4 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
         report.reason = "converged"
     elif not report.stagnated:
         report.reason = f"not converged after {max_steps} steps"
-    return current, report
+    return psi, report

@@ -208,6 +208,26 @@ class TestNewton:
         assert not short.converged and not short.stagnated
         assert short.reason == "not converged after 1 steps"
 
+    def test_inner_solve_stops_at_the_target(self, torus64):
+        # near the solution the GMRES tolerance follows tol / rnorm, so a step
+        # costs a couple of matvecs, not a 1e-10 solve
+        class Counting(ScalarH):
+            calls = 0
+
+            def linearize(self, psi, delta):
+                Counting.calls += 1
+                return super().linearize(psi, delta)
+
+        spec = Counting(1.0)
+        _, forcing = manufactured(torus64, spec)
+        sol, _ = picard_solve(spec, SpinorField.zeros(torus64, 1), forcing=forcing,
+                              tol=1e-7)
+        before = sol.values.copy()
+        _, rep = newton_refine(spec, sol, forcing=forcing, tol=1e-10)
+        assert rep.converged and rep.steps == 1
+        assert Counting.calls <= 3
+        assert np.array_equal(sol.values, before)
+
     def test_disk_reports_stagnation(self):
         chart = GridChart.disk(25, 1.0)
         psi = SpinorField.zeros(chart, 1)
