@@ -52,7 +52,7 @@ bn = chart.boundary_nodes
 trace = psi_star.values[bn[:, 0], bn[:, 1]]
 sol, rep = disk_solve(f_star, trace)
 err = np.abs(sol.values[chart.active] - psi_star.values[chart.active]).max()
-print(f"  method {rep['method']}, normal residual {rep['final_residual']:.1e}, "
+print(f"  normal residual {rep['final_residual']:.1e}, "
       f"sup error {err:.2e}")
 
 print("\nempirical boundary-estimate ratio |grad w|_p / |f|_p at p = 4/3:")

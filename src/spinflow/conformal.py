@@ -25,6 +25,7 @@ from scipy import ndimage
 
 from .charts import CYLINDER, DISK, RECT, SPHERE, TORUS, GridChart, SpinorField
 from .errors import ConfigurationError, DecayError, OutOfDomainError, PreconditionError
+from .spinors import energy
 
 _SPLINE_ORDER = 3
 
@@ -134,8 +135,6 @@ def to_cylinder(psi: SpinorField, center, r_inner: float, r_outer: float,
 
 def cylinder_segment_energy(cyl: SpinorField, t_lo: float, t_hi: float) -> float:
     """Energy of the [t_lo, t_hi] x S^1 segment of a cylinder field."""
-    from .spinors import energy
-
     if cyl.chart.kind != CYLINDER:
         raise ConfigurationError("segment energies are for cylinder fields")
     _, T = cyl.chart.grid()
@@ -151,8 +150,6 @@ def sphere_transfer(psi: SpinorField, direction: str) -> SpinorField:
     total, since the band is carried to a neighborhood of the north pole.
     ``toPlane`` inverts exactly on the shared grid.
     """
-    from .spinors import energy
-
     chart = psi.chart
     if direction == "toSphere":
         if chart.kind != RECT:

@@ -237,65 +237,6 @@ def _disk_factor(chart: GridChart):
         relax=4, panel_size=4, options=dict(SymmetricMode=True))
 
 
-def _solve_lu(chart: GridChart, A, B: np.ndarray, tol: float, max_iter: int):
-    """Normal equations by the cached factor, both slots of every column in
-    one solve, refined with the same factor while above ``tol``."""
-    lu = _disk_factor(chart)
-    X = np.zeros((A.shape[1], B.shape[1]), np.complex128)
-    R = _adjoint(A, B)
-    snorm = [np.linalg.norm(R[:, c]) for c in range(B.shape[1])]
-    histories = [[] if s == 0 else [1.0] for s in snorm]
-    # written so that a NaN residual counts as not converged and not falling
-    while live := [c for c, h in enumerate(histories) if h and not h[-1] <= tol]:
-        worst = histories[max(live, key=lambda c: histories[c][-1])]
-        if len(worst) >= max_iter or (len(worst) > 1 and not worst[-1] < worst[-2]):
-            raise SolverError(f"disk_solve: relative normal residual {worst[-1]:.3e} "
-                              f"above tol after {len(worst) - 1} solves", worst)
-        sol = lu.solve(np.concatenate([R[1::2, live], R[0::2, live].conj()], axis=1))
-        X[1::2, live] += sol[:, :len(live)]
-        X[0::2, live] += sol[:, len(live):].conj()
-        R = _adjoint(A, B - A @ X)
-        for c in live:
-            histories[c].append(float(np.linalg.norm(R[:, c]) / snorm[c]))
-    return X, histories
-
-
-def _solve_cg(chart: GridChart, A, B: np.ndarray, tol: float, max_iter: int):
-    """Conjugate gradients on the normal equations, column by column: the oracle."""
-    X = np.zeros((A.shape[1], B.shape[1]), np.complex128)
-    histories = []
-    for b, x in zip(B.T, X.T):                          # x: a view of X's column
-        history = []
-        if np.linalg.norm(b) > 0:
-            r_vec = b.copy()
-            s_vec = _adjoint(A, r_vec)
-            p = s_vec.copy()
-            gamma = np.vdot(s_vec, s_vec).real
-            gamma0 = gamma
-            for _ in range(max_iter):
-                rel = np.sqrt(gamma / gamma0)
-                history.append(float(rel))
-                if rel <= tol or gamma == 0.0:
-                    break
-                q = A @ p
-                qq = np.vdot(q, q).real
-                if qq == 0.0:
-                    break
-                alpha = gamma / qq
-                x += alpha * p
-                r_vec -= alpha * q
-                s_vec = _adjoint(A, r_vec)
-                gamma_new = np.vdot(s_vec, s_vec).real
-                p = s_vec + (gamma_new / gamma) * p
-                gamma = gamma_new
-            else:
-                raise SolverError(
-                    f"disk_solve: no convergence after {max_iter} iterations "
-                    f"(relative normal residual {history[-1]:.3e})", history)
-        histories.append(history)
-    return X, histories
-
-
 def boundary_trace_norm(chart: GridChart, trace: np.ndarray, p: float) -> float:
     """W^{1,p} norm of boundary data: p-norms of the trace and its arclength
     derivative (centered differences along the discrete boundary curve)."""
@@ -311,35 +252,30 @@ def boundary_trace_norm(chart: GridChart, trace: np.ndarray, p: float) -> float:
     return float(np.sum((mag ** p + dmag ** p) * ds) ** (1.0 / p))
 
 
-def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10,
-               max_iter: int | None = None, method: str = "lu") -> tuple:
+def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     """Solve D psi = f on the disk with psi = trace on the boundary ring.
 
     The discrete first-order system (trace rows weighted by 1/h) is solved in
-    least squares through the normal equations: by the factor cached per
-    chart plus iterative refinement (``method="lu"``), or by conjugate
-    gradients from scratch, the oracle route (``method="cg"``).  Convergence
-    is measured on the normal-equations residual |A^H (b - A x)| relative to
-    |A^H b|; the least-squares residual itself floors at the O(h^2) truncation
-    level for data sampled from continuum sources, and is reported alongside.
-    Returns (psi, report).  ``"iterations"`` is the longest residual history:
-    CG iterations, or for the LU route the number of solves plus one, which is
-    not a CG count.  Raises SolverError with the residual history when ``tol``
-    is not reached within ``max_iter`` history entries (default 10x the
-    unknown count), or when LU refinement stops reducing the residual.
+    least squares through the normal equations, by the factor cached per chart
+    (``_disk_factor``) with iterative refinement by the same factor, every
+    component in one solve.  Convergence is measured on the normal-equations
+    residual |A^H (b - A x)| relative to |A^H b|; the least-squares residual
+    itself floors at the O(h^2) truncation level for data sampled from
+    continuum sources, and is reported alongside.  Refinement stops when every
+    component is at or below ``tol``, and raises SolverError with the residual
+    history when a refinement fails to lower the worst residual (a NaN
+    residual included).  Returns (psi, report); ``"iterations"`` is the
+    number of solves plus one.
     """
     chart = f.chart
     if chart.kind != DISK:
         raise DomainError("disk_solve requires a disk chart")
-    if method not in ("lu", "cg"):
-        raise ConfigurationError(f"unknown disk solve method {method!r}")
     bnodes = chart.boundary_nodes
     trace = np.asarray(trace, np.complex128)
     if trace.shape != (bnodes.shape[0], f.n, 2):
         raise PreconditionError(
             f"trace must have shape (n_boundary, n, 2) = {(bnodes.shape[0], f.n, 2)}")
     A, idx, corners = _disk_system(chart)
-    max_iter = 10 * A.shape[1] if max_iter is None else max_iter
 
     # right-hand sides, one column per component: corner means (the leading 0
     # is a Python sum's start value, so four -0.0 corners give +0.0), then
@@ -347,15 +283,34 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10,
     c0, c1, c2, c3 = f.values.reshape(-1, f.n, 2)[corners]
     rhs = np.concatenate([0.25 * (0 + c0 + c1 + c2 + c3), (1.0 / chart.h) * trace])
     B = rhs.transpose(0, 2, 1).reshape(-1, f.n)
-    X, histories = (_solve_lu if method == "lu" else _solve_cg)(chart, A, B, tol, max_iter)
+
+    # normal equations by the cached factor, both slots of every column in
+    # one solve, refined with the same factor while above tol
+    lu = _disk_factor(chart)
+    X = np.zeros((A.shape[1], B.shape[1]), np.complex128)
+    R = _adjoint(A, B)
+    snorm = [np.linalg.norm(R[:, c]) for c in range(B.shape[1])]
+    histories = [[] if s == 0 else [1.0] for s in snorm]
+    # written so that a NaN residual counts as not converged and not falling
+    while live := [c for c, h in enumerate(histories) if h and not h[-1] <= tol]:
+        worst = histories[max(live, key=lambda c: histories[c][-1])]
+        if len(worst) > 1 and not worst[-1] < worst[-2]:
+            raise SolverError(f"disk_solve: relative normal residual {worst[-1]:.3e} "
+                              f"above tol after {len(worst) - 1} solves", worst)
+        sol = lu.solve(np.concatenate([R[1::2, live], R[0::2, live].conj()], axis=1))
+        X[1::2, live] += sol[:, :len(live)]
+        X[0::2, live] += sol[:, len(live):].conj()
+        R = _adjoint(A, B - A @ X)
+        for c in live:
+            histories[c].append(float(np.linalg.norm(R[:, c]) / snorm[c]))
+
     ls_residuals = [float(np.linalg.norm(A @ x - b) / np.linalg.norm(b)) if b.any() else 0.0
                     for x, b in zip(X.T, B.T)]
     out = np.zeros_like(f.values)
     act = chart.active
     out[act] = np.stack([X[2 * idx[act]], X[2 * idx[act] + 1]], axis=-1)
     psi = SpinorField(chart, out, f.tag or "disk-solve")
-    report = {"method": method,
-              "residual_histories": histories,
+    report = {"residual_histories": histories,
               "final_residual": max((h[-1] if h else 0.0) for h in histories),
               "least_squares_residual": max(ls_residuals),
               "iterations": max(len(h) for h in histories)}

@@ -204,9 +204,6 @@ class CurvatureCubic(GeneralCubic):
                      - np.einsum("il,jk->ijkl", eye, eye))
         return CurvatureCubic(t)
 
-    def as_general_cubic(self) -> GeneralCubic:
-        return GeneralCubic(self.tensor)
-
 
 class ChiralUV(ReactionSpec):
     """rhs = [U(psi) Gamma_+ + V(psi) Gamma_-] psi with Gamma_+ = diag(0, 1)."""

@@ -64,10 +64,7 @@ class PicardReport:
     residual_norms: list = field(default_factory=list)
     final_residual: float = np.inf
     margin: float = 0.0
-    guard: float = 0.5
     guard_flagged: bool = False
-    damping: float = 0.5
-    tol: float = 1e-8
     damping_history: list = field(default_factory=list)
     reason: str = ""
 
@@ -109,7 +106,7 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
     seed.validate()
     chart = seed.chart
     inverse, res_mode = _make_inverse(chart, trace)
-    report = PicardReport(False, 0, damping=damping, tol=tol, guard=guard)
+    report = PicardReport(False, 0)
     psi = seed.copy()
     theta = 1.0
     reaction = spec.rhs(psi)  # of the current iterate: its residual and the next target

@@ -139,10 +139,17 @@ class TestGeneralCubic:
         assert np.abs(t - np.transpose(t, (2, 3, 0, 1))).max() == 0.0
 
     def test_curvature_equals_general(self, torus_pp):
-        curv = CurvatureCubic.constant_curvature(2, 1.1)
+        # rhs = -R/3 contracted, with R_{ijkl} = kappa (d_ik d_jl - d_il d_jk)
+        kappa = 1.1
+        t = np.zeros((2, 2, 2, 2))
+        for i in range(2):
+            for j in range(2):
+                t[i, j, i, j] += kappa
+                t[i, j, j, i] -= kappa
+        curv = CurvatureCubic.constant_curvature(2, kappa)
         psi = random_field(torus_pp, n=2, seed=13)
         a = curv.rhs(psi).values
-        b = curv.as_general_cubic().rhs(psi).values
+        b = GeneralCubic(-t / 3).rhs(psi).values
         np.testing.assert_array_equal(a, b)
 
     def test_component_mismatch(self, torus_pp):

@@ -1,6 +1,6 @@
-"""Per-layer timings of the torus solve path.
+"""Per-layer timings of the torus solve path and the disk Green layer.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_8.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_9.json
 
 Times these operators on an AA torus with n = 2 at 128^2, 192^2 and 256^2:
 
@@ -14,6 +14,17 @@ The reaction is the ``general_cubic`` tensor the CLI builds for
 solves.  Each entry is the median of ``--repeats`` timed calls (at least 5)
 with the min and max, after one untimed warm-up call; the Picard entry also
 records its sweep count.
+
+On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
+
+* ``green.disk_solve`` cold: each timed call follows
+  ``_disk_factor.cache_clear()``, so it pays for the SuperLU factor;
+* ``green.disk_solve`` warm, with the factor cached;
+* ``green.green_convolve`` on its FFT route.
+
+The source is ``windowed_mode_field`` of the seed, which vanishes near the
+edge as ``green_convolve`` requires; the disk solve adds the ring values of
+(e^{ix}, 0) as its boundary trace.
 
 The results go under ``runs[<label>]`` of the output JSON with the machine:
 CPU count, numpy and scipy versions and the BLAS thread variables.  Labels
@@ -38,23 +49,30 @@ from spinflow.charts import GridChart, SpinorField
 from spinflow.config import parse_config
 from spinflow.dirac import dirac_apply
 from spinflow.fields import torus_mode_field
+from spinflow.green import _disk_factor, disk_solve, green_convolve, windowed_mode_field
 from spinflow.reactions import _contract
+from spinflow.rng import SplitMix64
 from spinflow.solve import picard_solve
 from spinflow.spinors import component_inners
 
 SIZES = (128, 192, 256)
+DISK_SIZES = (97, 129, 257)
 N = 2
 SEED = 1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _time(fn, repeats: int) -> dict:
-    fn()
+def _time(fn, repeats: int, before=None) -> dict:
+    """Median, min and max of ``repeats`` timed calls of ``fn`` after one
+    untimed warm-up; ``before`` runs untimed ahead of each call."""
     samples = []
-    for _ in range(repeats):
+    for k in range(repeats + 1):
+        if before is not None:
+            before()
         start = time.perf_counter()
         fn()
-        samples.append(time.perf_counter() - start)
+        if k:
+            samples.append(time.perf_counter() - start)
     return {"median_s": statistics.median(samples), "min_s": min(samples),
             "max_s": max(samples), "repeats": repeats}
 
@@ -83,6 +101,21 @@ def measure(size: int, repeats: int) -> dict:
     return out
 
 
+def measure_disk(nx: int, repeats: int) -> dict:
+    chart = GridChart.disk(nx, 1.0)
+    f = windowed_mode_field(chart, SplitMix64(SEED))
+    bn = chart.boundary_nodes
+    X, _ = chart.grid()
+    trace = np.zeros((bn.shape[0], 1, 2), np.complex128)
+    trace[:, 0, 0] = np.exp(1j * X[bn[:, 0], bn[:, 1]])
+    return {
+        "green.disk_solve.cold": _time(lambda: disk_solve(f, trace), repeats,
+                                       before=_disk_factor.cache_clear),
+        "green.disk_solve.warm": _time(lambda: disk_solve(f, trace), repeats),
+        "green.green_convolve.fft": _time(lambda: green_convolve(f), repeats),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
@@ -99,15 +132,20 @@ def main(argv=None) -> int:
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "threads": {k: os.environ.get(k) for k in THREAD_VARS}},
-        "chart": "torus AA", "n": N, "seed": SEED,
-        "sizes": {f"{s}x{s}": measure(s, args.repeats) for s in SIZES},
+        "seed": SEED,
+        "torus": {"chart": "torus AA", "n": N,
+                  "sizes": {f"{s}x{s}": measure(s, args.repeats) for s in SIZES}},
+        "disk": {"chart": "disk radius 1", "n": 1,
+                 "sizes": {f"{s}x{s}": measure_disk(s, args.repeats) for s in DISK_SIZES}},
     }
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for size, layers in doc["runs"][args.label]["sizes"].items():
-        for name, t in layers.items():
-            sys.stdout.write(f"{args.label} {size} {name}: {1e3 * t['median_s']:.2f} ms "
-                             f"[{1e3 * t['min_s']:.2f}-{1e3 * t['max_s']:.2f}]\n")
+    for chart in ("torus", "disk"):
+        for size, layers in doc["runs"][args.label][chart]["sizes"].items():
+            for name, t in layers.items():
+                sys.stdout.write(f"{args.label} {chart} {size} {name}: "
+                                 f"{1e3 * t['median_s']:.2f} ms "
+                                 f"[{1e3 * t['min_s']:.2f}-{1e3 * t['max_s']:.2f}]\n")
     return 0
 
 
