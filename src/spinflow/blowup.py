@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy import ndimage
 
 from .charts import TORUS, GridChart, SpinorField
 from .conformal import rescale
 from .errors import (ConfigurationError, DegenerateFitError, ExtractionError,
                      PreconditionError)
-from .green import _linear_conv_fft, _offset_grid, gradient_magnitude
+from .green import _offset_grid, _padded_shape, gradient_magnitude
 from .solve import smallness
 from .spinors import energy, pointwise_norm
 
@@ -35,18 +36,43 @@ def _min_image_dist2(chart: GridChart, cx: float, cy: float):
     return dx * dx + dy * dy
 
 
+def _stamp(chart: GridChart, radius: float) -> np.ndarray:
+    """Indicator of the disk of the given radius around offset zero: on the
+    torus a node grid centred at node (0, 0), else an offset grid."""
+    if chart.kind == TORUS:
+        d2 = _min_image_dist2(chart, chart.xs[0], chart.ys[0])
+    else:
+        dx, dy = _offset_grid(chart)
+        d2 = dx * dx + dy * dy
+    return (d2 <= radius * radius).astype(float)
+
+
+def _transform(chart: GridChart, a: np.ndarray) -> np.ndarray:
+    """Forward transform of a density or a stamp, as ``_disk_energy`` takes
+    it: circular on the torus, else zero-padded as in ``_linear_conv_fft``."""
+    if chart.kind == TORUS:
+        return np.fft.fft2(a)
+    return scipy.fft.fft2(a, _padded_shape(chart.ny, chart.nx))
+
+
+def _density_transform(psi: SpinorField) -> np.ndarray:
+    return _transform(psi.chart, pointwise_norm(psi) ** 4 * psi.chart.weights)
+
+
+def _disk_energy(chart: GridChart, dens_hat: np.ndarray, stamp_hat: np.ndarray) -> np.ndarray:
+    """E(psi; B(x, r)) for every node x from the two transforms."""
+    if chart.kind == TORUS:
+        return np.fft.ifft2(dens_hat * stamp_hat).real
+    ny, nx = chart.ny, chart.nx
+    full = scipy.fft.ifft2(stamp_hat * dens_hat)
+    return np.maximum(full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1].real, 0.0)
+
+
 def local_energy_grid(psi: SpinorField, radius: float) -> np.ndarray:
     """E(psi; B(x, r)) for every node x, via convolution with a disk stamp."""
     chart = psi.chart
-    dens = pointwise_norm(psi) ** 4 * chart.weights
-    if chart.kind == TORUS:
-        d2 = _min_image_dist2(chart, chart.xs[0], chart.ys[0])
-        stamp = (d2 <= radius * radius).astype(float)
-        out = np.fft.ifft2(np.fft.fft2(dens) * np.fft.fft2(stamp)).real
-        return out
-    dx, dy = _offset_grid(chart)
-    stamp = (dx * dx + dy * dy <= radius * radius).astype(float)
-    return np.maximum(_linear_conv_fft(stamp, dens).real, 0.0)
+    return _disk_energy(chart, _density_transform(psi),
+                        _transform(chart, _stamp(chart, radius)))
 
 
 @dataclass(frozen=True)
@@ -96,8 +122,10 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
     tail = _tail(sequence)
     envelope = np.full((chart.ny, chart.nx), np.inf)
     qualifies = chart.active.copy()
+    dens_hats = [_density_transform(f) for f in tail]
     for r in radii:
-        env_r = np.min([local_energy_grid(f, r) for f in tail], axis=0)
+        stamp_hat = _transform(chart, _stamp(chart, r))
+        env_r = np.min([_disk_energy(chart, d, stamp_hat) for d in dens_hats], axis=0)
         qualifies &= env_r >= epsilon
         envelope = np.minimum(envelope, env_r)
     if not qualifies.any():
@@ -121,8 +149,7 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
 class BubbleExtraction:
     lambdas: list
     centers: list               # (x, y) per tail member
-    rescaled: list              # fields on the target chart
-    limit: SpinorField
+    limit: SpinorField          # the last tail member, rescaled onto target_chart
     target_chart: GridChart
 
 
@@ -131,7 +158,8 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
                    target_chart: GridChart | None = None) -> BubbleExtraction:
     """Per tail member: the center maximizing disk energy and the scale at
     which that max equals epsilon/2 (bisection, tolerance epsilon/100), plus
-    the rescaled fields and their finite-sequence limit."""
+    the finite-sequence limit: the last member rescaled at its center and
+    scale."""
     _check_same_chart(sequence)
     chart = sequence[0].chart
     if search_radius is None:
@@ -149,10 +177,14 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
     tol = epsilon / 100.0
     lam_lo_base = 2.0 * chart.h
 
-    lambdas, centers, rescaled = [], [], []
-    for m, f in enumerate(_tail(sequence)):
+    tail = _tail(sequence)
+    lambdas, centers = [], []
+    for m, f in enumerate(tail):
+        dens_hat = _density_transform(f)
+
         def peak(lam):
-            grid = np.where(window, local_energy_grid(f, lam), -np.inf)
+            grid = _disk_energy(chart, dens_hat, _transform(chart, _stamp(chart, lam)))
+            grid = np.where(window, grid, -np.inf)
             k = int(np.argmax(grid))
             return grid.flat[k], np.unravel_index(k, grid.shape)
 
@@ -188,8 +220,8 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
         cx, cy = float(chart.xs[i]), float(chart.ys[j])
         lambdas.append(float(lam))
         centers.append((cx, cy))
-        rescaled.append(rescale(f, (cx, cy), lam, target_chart))
-    return BubbleExtraction(lambdas, centers, rescaled, rescaled[-1], target_chart)
+    limit = rescale(tail[-1], centers[-1], lambdas[-1], target_chart)
+    return BubbleExtraction(lambdas, centers, limit, target_chart)
 
 
 def neck_energy(psi: SpinorField, center, delta: float, R: float, lam: float) -> float:

@@ -127,11 +127,11 @@ def _write_obj(path: str, mesh) -> None:
     act = chart.active.ravel()
     remap = -np.ones(act.size, dtype=np.int64)
     remap[act] = np.arange(int(act.sum()))
-    vertices = mesh.vertices.reshape(-1, 3)[act].tolist()
-    faces = (remap[mesh.faces] + 1).tolist()
+    vertices = mesh.vertices.reshape(-1, 3)[act]
+    faces = remap[mesh.faces] + 1
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices)
-        fh.writelines(f"f {a} {b} {c}\n" for a, b, c in faces)
+        fh.write("v %r %r %r\n" * len(vertices) % tuple(vertices.ravel().tolist()))
+        fh.write("f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
 
 
 def _cmd_reconstruct(cfg: RunConfig, out_dir: str, field_path: str) -> int:

@@ -16,9 +16,9 @@ the shifted spectral symbol: the FFT route is the spectral inverse
 kernel node by node as its independent oracle.  Disk and rect charts use the
 free-space kernel and require compact support away from the chart edge; there
 the direct route sums the linear convolution node by node, and the FFT route
-(``_linear_conv_fft``, shared with ``blowup.local_energy_grid``) keeps the
-n-node output window of a circular convolution of size ``next_fast_len(2n-1)``
-per axis.  That is exact: wrap-around only reaches linear indices of at least
+(``_linear_conv_fft``; ``blowup.local_energy_grid`` pads the same way) keeps
+the n-node output window of a circular convolution of size
+``next_fast_len(2n-1)`` per axis.  That is exact: wrap-around only reaches linear indices of at least
 2n-1, past the window.
 
 Both routes evaluate the same sums, so they must agree to roundoff.
@@ -95,12 +95,17 @@ def _offset_grid(chart: GridChart):
     return dx, dy
 
 
+def _padded_shape(ny: int, nx: int) -> tuple:
+    """Transform size of ``_linear_conv_fft`` for an (ny, nx) node grid."""
+    return scipy.fft.next_fast_len(2 * ny - 1), scipy.fft.next_fast_len(2 * nx - 1)
+
+
 def _linear_conv_fft(kernel_off: np.ndarray, src: np.ndarray) -> np.ndarray:
     """out[t] = sum_s kernel_off[t - s + (n-1)] src[s] for an offset-grid kernel
     (see ``_offset_grid``): the window [n-1, 2n-1) of a circular convolution
     of size at least 2n-1, which the wrap-around cannot reach."""
     ny, nx = src.shape
-    shape = (scipy.fft.next_fast_len(2 * ny - 1), scipy.fft.next_fast_len(2 * nx - 1))
+    shape = _padded_shape(ny, nx)
     full = scipy.fft.ifft2(scipy.fft.fft2(kernel_off, shape) * scipy.fft.fft2(src, shape))
     return full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
 

@@ -20,7 +20,6 @@ solutions, order one for arbitrary fields).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,19 +92,24 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
 
     X = np.full((ny, nx, 3), np.nan)
     X[basepoint] = 0.0
-    seen = np.zeros((ny, nx), bool)
-    seen[basepoint] = True
-    queue = deque([basepoint])
-    steps = ((0, 1, hx), (0, -1, -hx), (1, 0, 1j * hy), (-1, 0, -1j * hy))
-    while queue:
-        j, i = queue.popleft()
-        for dj, di, dz in steps:
-            ja, ia = j + dj, i + di
-            if 0 <= ja < ny and 0 <= ia < nx and act[ja, ia] and not seen[ja, ia]:
-                seen[ja, ia] = True
-                edge = 0.5 * (phi[j, i] + phi[ja, ia]) * dz
-                X[ja, ia] = X[j, i] + edge.real
-                queue.append((ja, ia))
+    Xf, phif = X.reshape(-1, 3), phi.reshape(-1, 3)
+    open_ = act.ravel().copy()           # active and not yet reached
+    level = np.array([basepoint[0] * nx + basepoint[1]])
+    open_[level] = False
+    steps = np.array([1, -1, nx, -nx])
+    dzs = np.array([hx, -hx, 1j * hy, -1j * hy])
+    while level.size:
+        j, i = np.divmod(level, nx)
+        inside = np.stack([i + 1 < nx, i > 0, j + 1 < ny, j > 0], axis=1).ravel()
+        par = np.repeat(level, 4)[inside]
+        cand = par + np.tile(steps, level.size)[inside]
+        dz = np.tile(dzs, level.size)[inside]
+        keep = open_[cand]
+        par, cand, dz = par[keep], cand[keep], dz[keep]
+        first = np.sort(np.unique(cand, return_index=True)[1])
+        par, level, dz = par[first], cand[first], dz[first]
+        open_[level] = False
+        Xf[level] = Xf[par] + (0.5 * (phif[par] + phif[level]) * dz[:, None]).real
 
     # plaquette circulation of the trapezoid edge rule, per unit cell area
     if chart.cells.any():
@@ -138,8 +142,10 @@ def _triangulate(chart: GridChart, X: np.ndarray) -> np.ndarray:
     use_main = np.ones(a.shape, bool)
     on_ring = (chart.mask == BOUNDARY).ravel()
     V = X.reshape(-1, 3)
-    for k in np.flatnonzero(on_ring[a] | on_ring[b] | on_ring[c] | on_ring[d]):
-        use_main[k] = np.linalg.norm(V[a[k]] - V[c[k]]) <= np.linalg.norm(V[b[k]] - V[d[k]])
+    k = np.flatnonzero(on_ring[a] | on_ring[b] | on_ring[c] | on_ring[d])
+    main, off = V[a[k]] - V[c[k]], V[b[k]] - V[d[k]]
+    # vecdot is the dot product np.linalg.norm takes of one vector: same bits
+    use_main[k] = np.sqrt(np.vecdot(main, main)) <= np.sqrt(np.vecdot(off, off))
     faces = np.where(use_main[:, None], np.stack([a, b, c, a, c, d], axis=1),
                      np.stack([a, b, d, b, c, d], axis=1))
     return faces.reshape(-1, 3)
