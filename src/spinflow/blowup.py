@@ -5,7 +5,7 @@ envelope of its local energies stays above the threshold for every radius in
 the schedule.  The liminf over an infinite sequence is realized as the min
 over the last half of the finite sequence; the limit field is the last
 element.  Ties anywhere resolve to the lexicographically smallest (iy, ix)
-node index.
+node index; envelope values that differ only by roundoff tie.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
 
     Qualifying nodes cluster around each concentration point; each connected
     cluster (8-neighbours, wrapping across the seams on the torus) is reported
-    once, represented by its strongest node (ties to the smallest node index).
+    once, represented by its strongest node: the smallest node index whose
+    envelope is within a relative 1e-12 of the cluster's maximum.
     Output is ordered lexicographically by node index.
     """
     if epsilon <= 0:
@@ -137,7 +138,8 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
     for lab in np.unique(labels[labels > 0]):
         nodes = np.argwhere(labels == lab)
         vals = envelope[nodes[:, 0], nodes[:, 1]]
-        best = nodes[np.argmax(vals)]          # argmax = first max in C order
+        # first node in C order on the top plateau, so roundoff picks no node
+        best = nodes[np.argmax(vals >= vals.max() * (1.0 - 1e-12))]
         j, i = int(best[0]), int(best[1])
         points.append(BlowupPoint((j, i), (float(chart.xs[i]), float(chart.ys[j])),
                                   radii, float(envelope[j, i])))

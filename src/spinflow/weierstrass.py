@@ -13,9 +13,12 @@ i.e. closed forms and the classical minimal-surface formula; the induced
 metric is |psi|^4 |dz|^2 pointwise for any field.
 
 Integration runs along a breadth-first spanning tree of grid edges with the
-trapezoid rule.  Path dependence is never hidden: the maximal plaquette
-circulation per unit cell area is recorded as ``loop_residual`` (O(h^2) for
-solutions, order one for arbitrary fields).
+trapezoid rule.  The tree is that of a FIFO walk from the basepoint which
+visits each node's right, left, down (+y) and up (-y) neighbours in that
+order: a node of the next level hangs off the first node of the current
+level, in walk order, that reaches it.  Path dependence is never hidden: the
+maximal plaquette circulation per unit cell area is recorded as
+``loop_residual`` (O(h^2) for solutions, order one for arbitrary fields).
 """
 
 from __future__ import annotations

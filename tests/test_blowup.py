@@ -96,6 +96,25 @@ class TestBlowupSet:
         d2 = _min_image_dist2(torus128, *center)
         assert d2[pts[0].node] <= (2.0 * torus128.h) ** 2
 
+    def test_plateau_node_moves_with_the_roll(self):
+        # A flat-top bump well inside every stamp gives a plateau of equal
+        # local energies that the FFT perturbs by roundoff; the reported node
+        # must follow a roll of the sequence exactly.
+        chart = GridChart.torus(64, spin_structure="PP")
+        inside = _min_image_dist2(chart, 0.5, 0.5) <= 0.04 ** 2
+        seq = []
+        for m in range(6):
+            v = np.zeros((chart.ny, chart.nx, 1, 2), complex)
+            v[inside, 0, 0] = 3.0 * (1.0 + 0.1 * m)
+            seq.append(SpinorField(chart, v))
+        eps = 0.5 * energy(seq[3])
+        radii = (0.2, 0.17)
+        [base] = blowup_set(seq, eps, radii)
+        for shift in [(dj, di) for dj in range(-6, 7, 2) for di in (-6, -3, 0, 3, 6)]:
+            rolled = [SpinorField(chart, np.roll(f.values, shift, axis=(0, 1))) for f in seq]
+            [p] = blowup_set(rolled, eps, radii)
+            assert p.node == (base.node[0] + shift[0], base.node[1] + shift[1])
+
     def test_local_energy_grid_matches_direct_sum(self, torus128):
         seq, _, _ = single_bubble_sequence(torus128, (0.5, 0.5), length=4)
         psi = seq[-1]

@@ -6,16 +6,22 @@ einsums of ``GeneralCubic`` for constant and per-node tensors, the per-node
 einsum and batched matmul that ``_contract`` used before its GEMM, the FFT linear
 convolution padded to 3n-2, and the per-mode full-grid exponential loops of
 both seeded field builders.  Results must agree to 1e-13 of their maximum;
-``lp_norm`` must equal its earlier quadrature bit for bit.
+``lp_norm`` must equal its earlier quadrature bit for bit, and so must
+``blowup_set`` and ``extract_bubble`` against the loops that called
+``local_energy_grid`` once per field, radius and bisection step.
 """
 
 import numpy as np
 import pytest
 import scipy.fft
+from scipy import ndimage
 
-from spinflow.blowup import local_energy_grid
-from spinflow.charts import DISK, GridChart, SpinorField
-from spinflow.fields import DEFAULT_MODES, smoothstep7, torus_mode_field
+from spinflow.blowup import (_merge_across_seams, _min_image_dist2, blowup_set,
+                             extract_bubble, local_energy_grid)
+from spinflow.charts import DISK, TORUS, GridChart, SpinorField
+from spinflow.conformal import rescale
+from spinflow.fields import (DEFAULT_MODES, bubble_profile_energy, planted_bubble,
+                             smoothstep7, torus_mode_field)
 from spinflow.green import _free_kernel_grids, _linear_conv_fft, windowed_mode_field
 from spinflow.reactions import CurvatureCubic, GeneralCubic, _contract
 from spinflow.rng import SplitMix64
@@ -220,3 +226,74 @@ def test_lp_norm_bit_identical(chart, p):
     half = chart.active & (chart.grid()[0] < np.median(chart.xs))
     for region in (None, half):
         assert lp_norm(psi, p, region) == _ref_lp_norm(psi, p, region)
+
+
+# ---------------------------------------------------------------------------
+# local energies with one density transform per tail member
+# ---------------------------------------------------------------------------
+
+def _ref_blowup_nodes(seq, eps, radii):
+    """``blowup_set`` with one ``local_energy_grid`` call per field and radius."""
+    chart = seq[0].chart
+    tail = seq[len(seq) // 2:]
+    envelope = np.full((chart.ny, chart.nx), np.inf)
+    qualifies = chart.active.copy()
+    for r in radii:
+        env_r = np.min([local_energy_grid(f, r) for f in tail], axis=0)
+        qualifies &= env_r >= eps
+        envelope = np.minimum(envelope, env_r)
+    labels, count = ndimage.label(qualifies, structure=np.ones((3, 3), dtype=int))
+    if chart.kind == TORUS:
+        labels = _merge_across_seams(labels, count)
+    out = []
+    for lab in np.unique(labels[labels > 0]):
+        nodes = np.argwhere(labels == lab)
+        vals = envelope[nodes[:, 0], nodes[:, 1]]
+        j, i = nodes[np.argmax(vals >= vals.max() * (1.0 - 1e-12))]
+        out.append(((int(j), int(i)), float(envelope[j, i])))
+    return sorted(out)
+
+
+def _ref_extract(seq, point, eps, search_radius):
+    """``extract_bubble``'s bisection with one ``local_energy_grid`` call per step."""
+    chart = seq[0].chart
+    window = _min_image_dist2(chart, *point.location) <= search_radius ** 2
+    window &= chart.active
+    lambdas, centers = [], []
+    for f in seq[len(seq) // 2:]:
+        def peak(lam):
+            grid = np.where(window, local_energy_grid(f, lam), -np.inf)
+            k = int(np.argmax(grid))
+            return grid.flat[k], np.unravel_index(k, grid.shape)
+
+        lo, hi = 2.0 * chart.h, search_radius
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            val, node = peak(mid)
+            if abs(val - eps / 2) <= eps / 100 or (hi - lo) <= 1e-3 * chart.h:
+                break
+            lo, hi = (mid, hi) if val < eps / 2 else (lo, mid)
+        lambdas.append(float(0.5 * (lo + hi)))
+        centers.append((float(chart.xs[node[1]]), float(chart.ys[node[0]])))
+    return lambdas, centers
+
+
+def _bubble_sequence(chart, center, lam0, ratio):
+    amp = (1.1 / bubble_profile_energy(1.0)) ** 0.25
+    return [SpinorField(chart, planted_bubble(chart, center, lam0 * ratio ** m, amp)).zero_outside()
+            for m in range(8)]
+
+
+@pytest.mark.parametrize("chart, center, lam0, ratio, radii", [
+    (GridChart.torus(128, spin_structure="PP"), (0.75, 0.75), 0.2, 0.78, (0.12, 0.1, 0.08)),
+    (GridChart.disk(97), (0.1, -0.05), 0.3, 0.88, (0.3, 0.25)),
+], ids=["torus", "disk"])
+def test_hoisted_local_energies(chart, center, lam0, ratio, radii):
+    seq = _bubble_sequence(chart, center, lam0, ratio)
+    points = blowup_set(seq, 1.0, radii)
+    assert [(p.node, p.liminf_energy) for p in points] == _ref_blowup_nodes(seq, 1.0, radii)
+    assert len(points) == 1
+    ext = extract_bubble(seq, points[0], 1.0, search_radius=0.2)
+    assert (ext.lambdas, ext.centers) == _ref_extract(seq, points[0], 1.0, 0.2)
+    limit = rescale(seq[-1], ext.centers[-1], ext.lambdas[-1], ext.target_chart)
+    assert ext.limit.values.tobytes() == limit.values.tobytes()

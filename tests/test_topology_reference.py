@@ -1,8 +1,10 @@
-"""The array-built disk operators against per-cell loop references.
+"""The array-built disk operators and surface tree against loop references.
 
-Each reference walks cells or ring nodes one at a time with the same scalar
-arithmetic as the library, so results must agree bit for bit.
+Each reference walks cells, ring nodes or tree nodes one at a time with the
+same scalar arithmetic as the library, so results must agree bit for bit.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from spinflow.charts import BOUNDARY, GridChart, SpinorField
 from spinflow.dirac import _derivative
 from spinflow.fields import enneper_field
 from spinflow.green import _disk_system, disk_solve
-from spinflow.weierstrass import _triangulate, integrate_surface
+from spinflow.weierstrass import (_default_basepoint, _triangulate, integrate_surface,
+                                  weierstrass_form)
+
+from conftest import random_field
 
 CHARTS = [GridChart.disk(nx, r) for nx in (9, 13, 17, 33) for r in (1.0, 0.73)]
 
@@ -155,3 +160,44 @@ class TestAgainstLoops:
         _same(mesh.faces, _reference_faces(chart, mesh.vertices))
         X = np.random.default_rng(chart.nx).standard_normal((chart.ny, chart.nx, 3))
         _same(_triangulate(chart, X), _reference_faces(chart, X))
+
+
+def _reference_tree(psi, basepoint):
+    """Breadth-first walk with a FIFO queue: pop a node, then visit its
+    right, left, down and up neighbours, each by the trapezoid rule."""
+    chart = psi.chart
+    phi = weierstrass_form(psi)
+    act = chart.active
+    ny, nx = chart.ny, chart.nx
+    X = np.full((ny, nx, 3), np.nan)
+    X[basepoint] = 0.0
+    seen = np.zeros((ny, nx), bool)
+    seen[basepoint] = True
+    queue = deque([basepoint])
+    steps = ((0, 1, chart.hx), (0, -1, -chart.hx), (1, 0, 1j * chart.hy), (-1, 0, -1j * chart.hy))
+    while queue:
+        j, i = queue.popleft()
+        for dj, di, dz in steps:
+            ja, ia = j + dj, i + di
+            if 0 <= ja < ny and 0 <= ia < nx and act[ja, ia] and not seen[ja, ia]:
+                seen[ja, ia] = True
+                edge = 0.5 * (phi[j, i] + phi[ja, ia]) * dz
+                X[ja, ia] = X[j, i] + edge.real
+                queue.append((ja, ia))
+    return X
+
+
+@pytest.mark.parametrize("chart", [
+    GridChart.rect(33, 21), GridChart.torus(24, 32), GridChart.sphere(25),
+    GridChart.disk(17), GridChart.disk(97)], ids=lambda c: f"{c.kind}{c.nx}x{c.ny}")
+@pytest.mark.parametrize("off_row", [False, True], ids=["default", "off-row"])
+def test_surface_tree(chart, off_row):
+    # random fields are far from integrable, so another tree moves X by O(1)
+    psi = random_field(chart, seed=chart.nx)
+    basepoint = None
+    if off_row:
+        jj, ii = np.nonzero(chart.active)
+        basepoint = (int(jj[len(jj) // 3]), int(ii[len(jj) // 3]))
+    mesh = integrate_surface(psi, basepoint)
+    assert off_row == (mesh.basepoint[0] != _default_basepoint(chart)[0])
+    _same(mesh.vertices, _reference_tree(psi, mesh.basepoint))

@@ -1,6 +1,7 @@
-"""Per-layer timings of the torus solve path and the disk Green layer.
+"""Per-layer timings of the torus solve path, the disk Green layer and the
+analysis layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_9.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_10.json
 
 Times these operators on an AA torus with n = 2 at 128^2, 192^2 and 256^2:
 
@@ -26,6 +27,19 @@ The source is ``windowed_mode_field`` of the seed, which vanishes near the
 edge as ``green_convolve`` requires; the disk solve adds the ring values of
 (e^{ix}, 0) as its boundary trace.
 
+The analysis layers run on inputs shaped like those of the ``analyze``
+benchmark workload, built with ``spinflow.fields``.  On a PP torus at 128^2
+and 256^2 with an 8-field sequence of one cut-Gaussian bubble of energy 1.2
+at scales 0.17 * 0.88^m, it times:
+
+* ``blowup.local_energy_grid`` of the last field at radius 0.14;
+* ``blowup.blowup_set`` with epsilon 1 and radii 0.16, 0.14, 0.125;
+* ``blowup.extract_bubble`` of the point found, search radius 0.2.
+
+On the square [-1, 1]^2 at 129 and 257 nodes with ``enneper_field`` of scale
+0.9 it times ``weierstrass.integrate_surface`` and the CLI's OBJ writer
+``cli._write_obj`` (into a temporary directory).
+
 The results go under ``runs[<label>]`` of the output JSON with the machine:
 CPU count, numpy and scipy versions and the BLAS thread variables.  Labels
 already in the file are kept, so two source trees can be measured
@@ -40,23 +54,31 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
 import scipy
 
+from spinflow.blowup import blowup_set, extract_bubble, local_energy_grid
 from spinflow.charts import GridChart, SpinorField
+from spinflow.cli import _write_obj
 from spinflow.config import parse_config
 from spinflow.dirac import dirac_apply
-from spinflow.fields import torus_mode_field
+from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubble,
+                             torus_mode_field)
 from spinflow.green import _disk_factor, disk_solve, green_convolve, windowed_mode_field
 from spinflow.reactions import _contract
 from spinflow.rng import SplitMix64
 from spinflow.solve import picard_solve
 from spinflow.spinors import component_inners
+from spinflow.weierstrass import integrate_surface
 
 SIZES = (128, 192, 256)
 DISK_SIZES = (97, 129, 257)
+BLOWUP_SIZES = (128, 256)
+SURFACE_SIZES = (129, 257)
+RADII = (0.16, 0.14, 0.125)
 N = 2
 SEED = 1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -116,6 +138,31 @@ def measure_disk(nx: int, repeats: int) -> dict:
     }
 
 
+def measure_blowup(size: int, repeats: int) -> dict:
+    chart = GridChart.torus(size, spin_structure="PP")
+    amp = (1.2 / bubble_profile_energy(1.0)) ** 0.25
+    seq = [SpinorField(chart, planted_bubble(chart, (0.3, 0.7), 0.17 * 0.88 ** m, amp))
+           for m in range(8)]
+    [point] = blowup_set(seq, 1.0, RADII)
+    return {
+        "blowup.local_energy_grid": _time(lambda: local_energy_grid(seq[-1], 0.14), repeats),
+        "blowup.blowup_set": _time(lambda: blowup_set(seq, 1.0, RADII), repeats),
+        "blowup.extract_bubble": _time(
+            lambda: extract_bubble(seq, point, 1.0, search_radius=0.2), repeats),
+    }
+
+
+def measure_surface(nx: int, repeats: int) -> dict:
+    psi = enneper_field(GridChart.rect(nx, nx, (-1.0, 1.0, -1.0, 1.0)), 0.9)
+    mesh = integrate_surface(psi)
+    with tempfile.TemporaryDirectory() as tmp:
+        obj = os.path.join(tmp, "surface.obj")
+        return {
+            "weierstrass.integrate_surface": _time(lambda: integrate_surface(psi), repeats),
+            "cli._write_obj": _time(lambda: _write_obj(obj, mesh), repeats),
+        }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
@@ -137,10 +184,16 @@ def main(argv=None) -> int:
                   "sizes": {f"{s}x{s}": measure(s, args.repeats) for s in SIZES}},
         "disk": {"chart": "disk radius 1", "n": 1,
                  "sizes": {f"{s}x{s}": measure_disk(s, args.repeats) for s in DISK_SIZES}},
+        "blowup": {"chart": "torus PP", "n": 1, "sequence": 8,
+                   "sizes": {f"{s}x{s}": measure_blowup(s, args.repeats)
+                             for s in BLOWUP_SIZES}},
+        "surface": {"chart": "rect [-1, 1]^2", "n": 1,
+                    "sizes": {f"{s}x{s}": measure_surface(s, args.repeats)
+                              for s in SURFACE_SIZES}},
     }
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for chart in ("torus", "disk"):
+    for chart in ("torus", "disk", "blowup", "surface"):
         for size, layers in doc["runs"][args.label][chart]["sizes"].items():
             for name, t in layers.items():
                 sys.stdout.write(f"{args.label} {chart} {size} {name}: "
