@@ -36,43 +36,37 @@ def _min_image_dist2(chart: GridChart, cx: float, cy: float):
     return dx * dx + dy * dy
 
 
-def _stamp(chart: GridChart, radius: float) -> np.ndarray:
-    """Indicator of the disk of the given radius around offset zero: on the
-    torus a node grid centred at node (0, 0), else an offset grid."""
-    if chart.kind == TORUS:
-        d2 = _min_image_dist2(chart, chart.xs[0], chart.ys[0])
-    else:
-        dx, dy = _offset_grid(chart)
-        d2 = dx * dx + dy * dy
-    return (d2 <= radius * radius).astype(float)
-
-
-def _transform(chart: GridChart, a: np.ndarray) -> np.ndarray:
-    """Forward transform of a density or a stamp, as ``_disk_energy`` takes
-    it: circular on the torus, else zero-padded as in ``_linear_conv_fft``."""
+def _fft(chart: GridChart, a: np.ndarray) -> np.ndarray:
+    """Circular transform on the torus, else zero-padded as in ``_linear_conv_fft``."""
     if chart.kind == TORUS:
         return np.fft.fft2(a)
     return scipy.fft.fft2(a, _padded_shape(chart.ny, chart.nx))
 
 
-def _density_transform(psi: SpinorField) -> np.ndarray:
-    return _transform(psi.chart, pointwise_norm(psi) ** 4 * psi.chart.weights)
+def _density_fft(psi: SpinorField) -> np.ndarray:
+    return _fft(psi.chart, pointwise_norm(psi) ** 4 * psi.chart.weights)
 
 
-def _disk_energy(chart: GridChart, dens_hat: np.ndarray, stamp_hat: np.ndarray) -> np.ndarray:
+def _stamp_fft(chart: GridChart, radius: float) -> np.ndarray:
+    """Transform of the indicator of B(0, radius): a node grid around node
+    (0, 0) on the torus, else an offset grid (``green._offset_grid``)."""
+    dx, dy = (chart.min_image_offset(chart.xs[0], chart.ys[0]) if chart.kind == TORUS
+              else _offset_grid(chart))
+    return _fft(chart, (dx * dx + dy * dy <= radius * radius).astype(float))
+
+
+def _disk_energy(chart: GridChart, dens_fft: np.ndarray, stamp_fft: np.ndarray) -> np.ndarray:
     """E(psi; B(x, r)) for every node x from the two transforms."""
     if chart.kind == TORUS:
-        return np.fft.ifft2(dens_hat * stamp_hat).real
+        return np.fft.ifft2(dens_fft * stamp_fft).real
     ny, nx = chart.ny, chart.nx
-    full = scipy.fft.ifft2(stamp_hat * dens_hat)
+    full = scipy.fft.ifft2(stamp_fft * dens_fft)
     return np.maximum(full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1].real, 0.0)
 
 
 def local_energy_grid(psi: SpinorField, radius: float) -> np.ndarray:
     """E(psi; B(x, r)) for every node x, via convolution with a disk stamp."""
-    chart = psi.chart
-    return _disk_energy(chart, _density_transform(psi),
-                        _transform(chart, _stamp(chart, radius)))
+    return _disk_energy(psi.chart, _density_fft(psi), _stamp_fft(psi.chart, radius))
 
 
 @dataclass(frozen=True)
@@ -123,10 +117,10 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
     tail = _tail(sequence)
     envelope = np.full((chart.ny, chart.nx), np.inf)
     qualifies = chart.active.copy()
-    dens_hats = [_density_transform(f) for f in tail]
+    dens_ffts = [_density_fft(f) for f in tail]
     for r in radii:
-        stamp_hat = _transform(chart, _stamp(chart, r))
-        env_r = np.min([_disk_energy(chart, d, stamp_hat) for d in dens_hats], axis=0)
+        stamp_fft = _stamp_fft(chart, r)
+        env_r = np.min([_disk_energy(chart, d, stamp_fft) for d in dens_ffts], axis=0)
         qualifies &= env_r >= epsilon
         envelope = np.minimum(envelope, env_r)
     if not qualifies.any():
@@ -165,32 +159,27 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
     _check_same_chart(sequence)
     chart = sequence[0].chart
     if search_radius is None:
-        if chart.kind == TORUS:
-            search_radius = 0.25 * min(chart.params)
-        else:
-            search_radius = 0.25 * min(chart.xs[-1] - chart.xs[0],
-                                       chart.ys[-1] - chart.ys[0])
+        search_radius = 0.25 * (min(chart.params) if chart.kind == TORUS else
+                                min(chart.xs[-1] - chart.xs[0], chart.ys[-1] - chart.ys[0]))
     if target_chart is None:
         target_chart = GridChart.disk(min(chart.nx, 129) // 2 * 2 + 1, radius=4.0)
-    px, py = point.location
-    window = _min_image_dist2(chart, px, py) <= search_radius ** 2
+    window = _min_image_dist2(chart, *point.location) <= search_radius ** 2
     window &= chart.active
     target_half = epsilon / 2.0
     tol = epsilon / 100.0
-    lam_lo_base = 2.0 * chart.h
 
     tail = _tail(sequence)
     lambdas, centers = [], []
     for m, f in enumerate(tail):
-        dens_hat = _density_transform(f)
+        dens_fft = _density_fft(f)
 
         def peak(lam):
-            grid = _disk_energy(chart, dens_hat, _transform(chart, _stamp(chart, lam)))
-            grid = np.where(window, grid, -np.inf)
+            grid = np.where(window, _disk_energy(chart, dens_fft, _stamp_fft(chart, lam)),
+                            -np.inf)
             k = int(np.argmax(grid))
             return grid.flat[k], np.unravel_index(k, grid.shape)
 
-        lo, hi = lam_lo_base, search_radius
+        lo, hi = 2.0 * chart.h, search_radius
         e_lo, _ = peak(lo)
         e_hi, _ = peak(hi)
         if e_hi < target_half:
@@ -204,7 +193,6 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
         # The disk energy is a step function of lam (nodes enter one at a
         # time), so the energy tolerance may be unreachable; the interval
         # collapsing below grid precision is the discrete surrogate.
-        val, node = e_lo, None
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             val, node = peak(mid)
@@ -214,14 +202,9 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
                 lo = mid
             else:
                 hi = mid
-        lam = 0.5 * (lo + hi)
-        if node is None:
-            raise ExtractionError(
-                f"tail member {m}: bisection could not start at lam={lam:.3e}")
         j, i = node
-        cx, cy = float(chart.xs[i]), float(chart.ys[j])
-        lambdas.append(float(lam))
-        centers.append((cx, cy))
+        lambdas.append(float(0.5 * (lo + hi)))
+        centers.append((float(chart.xs[i]), float(chart.ys[j])))
     limit = rescale(tail[-1], centers[-1], lambdas[-1], target_chart)
     return BubbleExtraction(lambdas, centers, limit, target_chart)
 

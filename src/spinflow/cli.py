@@ -123,8 +123,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_obj(path: str, mesh) -> None:
-    chart = mesh.chart
-    act = chart.active.ravel()
+    act = mesh.chart.active.ravel()
     remap = -np.ones(act.size, dtype=np.int64)
     remap[act] = np.arange(int(act.sum()))
     vertices = mesh.vertices.reshape(-1, 3)[act]
@@ -176,9 +175,7 @@ def _cmd_blowup(cfg: RunConfig, out_dir: str, field_paths, background_path) -> i
     if len(field_paths) < 4:
         raise ConfigurationError("blowup analysis needs at least 4 fields")
     sequence = [read_field(p) for p in field_paths]
-    charts = {f.chart.signature() for f in sequence}
-    if len(charts) != 1:
-        raise ConfigurationError("sequence fields live on different charts")
+    blowup_mod._check_same_chart(sequence)
     background = (read_field(background_path) if background_path
                   else SpinorField.zeros(sequence[0].chart, sequence[0].n))
     if background.chart != sequence[0].chart:

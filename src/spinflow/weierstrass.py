@@ -99,7 +99,7 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
     open_ = act.ravel().copy()           # active and not yet reached
     level = np.array([basepoint[0] * nx + basepoint[1]])
     open_[level] = False
-    steps = np.array([1, -1, nx, -nx])
+    steps = np.array([1, -1, nx, -nx])  # right, left, down (+y), up (-y)
     dzs = np.array([hx, -hx, 1j * hy, -1j * hy])
     while level.size:
         j, i = np.divmod(level, nx)
@@ -107,19 +107,15 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
         par = np.repeat(level, 4)[inside]
         cand = par + np.tile(steps, level.size)[inside]
         dz = np.tile(dzs, level.size)[inside]
-        keep = open_[cand]
-        par, cand, dz = par[keep], cand[keep], dz[keep]
-        first = np.sort(np.unique(cand, return_index=True)[1])
-        par, level, dz = par[first], cand[first], dz[first]
+        keep = np.flatnonzero(open_[cand])
+        keep = keep[np.sort(np.unique(cand[keep], return_index=True)[1])]  # first visits
+        par, level, dz = par[keep], cand[keep], dz[keep]
         open_[level] = False
         Xf[level] = Xf[par] + (0.5 * (phif[par] + phif[level]) * dz[:, None]).real
 
     # plaquette circulation of the trapezoid edge rule, per unit cell area
     if chart.cells.any():
-        p00 = phi[:-1, :-1]
-        p10 = phi[:-1, 1:]
-        p11 = phi[1:, 1:]
-        p01 = phi[1:, :-1]
+        p00, p10, p11, p01 = phi[:-1, :-1], phi[:-1, 1:], phi[1:, 1:], phi[1:, :-1]
         circ = 0.5 * ((p00 + p10) * hx + (p10 + p11) * (1j * hy)
                       + (p11 + p01) * (-hx) + (p01 + p00) * (-1j * hy))
         mags = np.linalg.norm(circ.real, axis=-1) / (hx * hy)
@@ -156,10 +152,8 @@ def _triangulate(chart: GridChart, X: np.ndarray) -> np.ndarray:
 
 def mesh_area(mesh: SurfaceMesh) -> float:
     """Sum of triangle areas; equals the field energy for solution meshes."""
-    V = mesh.vertices.reshape(-1, 3)
-    p0 = V[mesh.faces[:, 0]]
-    p1 = V[mesh.faces[:, 1]]
-    p2 = V[mesh.faces[:, 2]]
+    V, F = mesh.vertices.reshape(-1, 3), mesh.faces
+    p0, p1, p2 = V[F[:, 0]], V[F[:, 1]], V[F[:, 2]]
     cr = np.cross(p1 - p0, p2 - p0)
     return float(np.sum(0.5 * np.linalg.norm(cr, axis=1)))
 
@@ -176,15 +170,11 @@ def induced_metric_residual(mesh: SurfaceMesh, psi: SpinorField) -> float:
     X = mesh.vertices
     dens = pointwise_norm(psi) ** 4
     worst = 0.0
-    for axis, h in ((1, chart.hx), (0, chart.hy)):
-        if axis == 1:
-            pair = act[:, :-1] & act[:, 1:]
-            dX = X[:, 1:] - X[:, :-1]
-            m = 0.5 * (dens[:, 1:] + dens[:, :-1]) * h * h
-        else:
-            pair = act[:-1, :] & act[1:, :]
-            dX = X[1:, :] - X[:-1, :]
-            m = 0.5 * (dens[1:, :] + dens[:-1, :]) * h * h
+    for lo, hi, h in ((np.s_[:, :-1], np.s_[:, 1:], chart.hx),
+                      (np.s_[:-1, :], np.s_[1:, :], chart.hy)):
+        pair = act[lo] & act[hi]
+        dX = X[hi] - X[lo]
+        m = 0.5 * (dens[hi] + dens[lo]) * h * h
         d2 = np.sum(dX * dX, axis=-1)
         rel = np.abs(d2 - m) / (m + METRIC_FLOOR)
         worst = max(worst, float(np.where(pair, rel, 0.0).max()))
@@ -238,11 +228,10 @@ def mean_curvature(mesh: SurfaceMesh):
     # interior = active 8-neighborhood, not meeting a degenerate face
     interior = ndimage.binary_erosion(chart.active, np.ones((3, 3)))
 
-    excluded = sorted(set(F[degenerate].ravel().tolist()))
+    excluded = np.unique(F[degenerate]).tolist()
     H = np.full(nv, np.nan)
     ok = interior.ravel() & (vertex_area > 0)
-    if excluded:
-        ok[np.asarray(excluded, dtype=np.int64)] = False
+    ok[F[degenerate]] = False
     nrm = np.linalg.norm(normal_acc, axis=1)
     unit = np.zeros_like(normal_acc)
     pos = nrm > 0
