@@ -18,8 +18,8 @@ free-space kernel and require compact support away from the chart edge; there
 the direct route sums the linear convolution node by node, and the FFT route
 (``_linear_conv_fft``; ``blowup.local_energy_grid`` pads the same way) keeps
 the n-node output window of a circular convolution of size
-``next_fast_len(2n-1)`` per axis.  That is exact: wrap-around only reaches linear indices of at least
-2n-1, past the window.
+``next_fast_len(2n-1)`` per axis.  That is exact: wrap-around only reaches
+linear indices of at least 2n-1, past the window.
 
 Both routes evaluate the same sums, so they must agree to roundoff.
 """

@@ -96,9 +96,9 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
     X = np.full((ny, nx, 3), np.nan)
     X[basepoint] = 0.0
     Xf, phif = X.reshape(-1, 3), phi.reshape(-1, 3)
-    open_ = act.ravel().copy()           # active and not yet reached
+    unreached = act.ravel().copy()       # active nodes not yet in the tree
     level = np.array([basepoint[0] * nx + basepoint[1]])
-    open_[level] = False
+    unreached[level] = False
     steps = np.array([1, -1, nx, -nx])  # right, left, down (+y), up (-y)
     dzs = np.array([hx, -hx, 1j * hy, -1j * hy])
     while level.size:
@@ -107,10 +107,10 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
         par = np.repeat(level, 4)[inside]
         cand = par + np.tile(steps, level.size)[inside]
         dz = np.tile(dzs, level.size)[inside]
-        keep = np.flatnonzero(open_[cand])
+        keep = np.flatnonzero(unreached[cand])
         keep = keep[np.sort(np.unique(cand[keep], return_index=True)[1])]  # first visits
         par, level, dz = par[keep], cand[keep], dz[keep]
-        open_[level] = False
+        unreached[level] = False
         Xf[level] = Xf[par] + (0.5 * (phif[par] + phif[level]) * dz[:, None]).real
 
     # plaquette circulation of the trapezoid edge rule, per unit cell area

@@ -280,8 +280,8 @@ def _ref_extract(seq, point, eps, search_radius):
 
 def _bubble_sequence(chart, center, lam0, ratio):
     amp = (1.1 / bubble_profile_energy(1.0)) ** 0.25
-    return [SpinorField(chart, planted_bubble(chart, center, lam0 * ratio ** m, amp)).zero_outside()
-            for m in range(8)]
+    return [SpinorField(chart, planted_bubble(chart, center, lam0 * ratio ** m, amp))
+            .zero_outside() for m in range(8)]
 
 
 @pytest.mark.parametrize("chart, center, lam0, ratio, radii", [
