@@ -286,15 +286,6 @@ class EnergyLedger:
     def bubble_total(self) -> float:
         return float(sum(b.energy for b in self.bubbles))
 
-    def recompute_defect(self) -> float:
-        return self.total_limit - self.background - self.bubble_total()
-
-    def by_point(self) -> dict:
-        groups: dict = {}
-        for b in self.bubbles:
-            groups.setdefault(b.point, []).append(b)
-        return groups
-
 
 def ledger_assemble(sequence, background: SpinorField, bubbles,
                     h0: float = 0.0, guard: float = 0.5) -> EnergyLedger:

@@ -146,20 +146,6 @@ class GridChart:
         return self.kind == TORUS
 
     @property
-    def period_x(self) -> float:
-        if self.kind == TORUS:
-            return self.params[0]
-        if self.kind == CYLINDER:
-            return 2.0 * np.pi
-        raise ConfigurationError("chart has no x period")
-
-    @property
-    def period_y(self) -> float:
-        if self.kind != TORUS:
-            raise ConfigurationError("chart has no y period")
-        return self.params[1]
-
-    @property
     def spin_shifts(self) -> tuple:
         """Frequency shifts (sx, sy) in {0, 1/2} of the spin structure.
 
@@ -325,10 +311,6 @@ class SpinorField:
     def copy(self, tag: str | None = None) -> "SpinorField":
         return SpinorField(self.chart, self.values.copy(),
                            self.tag if tag is None else tag)
-
-    def zero_outside(self) -> "SpinorField":
-        self.values[~self.chart.active] = 0.0
-        return self
 
     # Arithmetic is pointwise and chart-checked; scalar multiply only.
     def _check(self, other):

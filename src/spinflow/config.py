@@ -11,9 +11,10 @@ Example::
     solver.tol = 1e-9
     seed = 42
 
-Unknown keys are rejected, and so are chart keys the chosen domain does not
-read (``chart.ny`` on a disk, say); every numeric value is validated against
-its documented range, and float values must be finite (``nan``/``inf`` are
+Unknown keys are rejected.  The chart is a torus, the only domain a command
+builds from the configuration (``chart.domain = torus`` may be written; any
+other domain is out of range).  Every numeric value is validated against its
+documented range, and float values must be finite (``nan``/``inf`` are
 rejected).  ``#`` starts a comment (full line or trailing).
 """
 
@@ -54,18 +55,12 @@ def _parse_int_list(raw: str):
 
 # key -> (parser, validator, default); validators raise ValueError
 _SCHEMA = {
-    "chart.domain": (str.strip, lambda v: v in ("torus", "disk", "rect", "sphere"), "torus"),
+    "chart.domain": (str.strip, lambda v: v == "torus", "torus"),
     "chart.nx": (int, lambda v: v >= 8, 64),
     "chart.ny": (int, lambda v: v >= 8, None),
     "chart.period_x": (_parse_float, lambda v: v > 0, 1.0),
     "chart.period_y": (_parse_float, lambda v: v > 0, None),
     "chart.spin_structure": (str.strip, lambda v: v in ("PP", "PA", "AP", "AA"), "AA"),
-    "chart.radius": (_parse_float, lambda v: v > 0, 1.0),
-    "chart.x0": (_parse_float, lambda v: True, -1.0),
-    "chart.x1": (_parse_float, lambda v: True, 1.0),
-    "chart.y0": (_parse_float, lambda v: True, -1.0),
-    "chart.y1": (_parse_float, lambda v: True, 1.0),
-    "chart.extent": (_parse_float, lambda v: v > 0, 2.0),
     "reaction.type": (str.strip, lambda v: v in ("scalar_h", "general_cubic",
                                                  "curvature_cubic", "chiral_su2",
                                                  "chiral_nil", "chiral_sl2"), "scalar_h"),
@@ -92,14 +87,6 @@ _SCHEMA = {
     "seed": (int, lambda v: 0 <= v < 2 ** 64, 0),
 }
 
-# chart keys each domain reads (besides chart.domain)
-_DOMAIN_KEYS = {
-    "torus": ("nx", "ny", "period_x", "period_y", "spin_structure"),
-    "disk": ("nx", "radius"),
-    "rect": ("nx", "ny", "x0", "x1", "y0", "y1"),
-    "sphere": ("nx", "extent"),
-}
-
 
 def checked(key: str, val, source: str):
     """``val`` if it satisfies the range rule of config key ``key``; otherwise a
@@ -120,19 +107,9 @@ class RunConfig:
 
     def build_chart(self) -> GridChart:
         e = self.entries
-        dom = e["chart.domain"]
-        nx = e["chart.nx"]
-        ny = e["chart.ny"] if e["chart.ny"] is not None else nx
-        if dom == "torus":
-            py = e["chart.period_y"] if e["chart.period_y"] is not None else e["chart.period_x"]
-            return GridChart.torus(nx, ny, e["chart.period_x"], py,
-                                   spin_structure=e["chart.spin_structure"])
-        if dom == "disk":
-            return GridChart.disk(nx, e["chart.radius"])
-        if dom == "rect":
-            return GridChart.rect(nx, ny, (e["chart.x0"], e["chart.x1"],
-                                           e["chart.y0"], e["chart.y1"]))
-        return GridChart.sphere(nx, e["chart.extent"])
+        # an unset ny or period_y (None) takes the x value, as in GridChart.torus
+        return GridChart.torus(e["chart.nx"], e["chart.ny"], e["chart.period_x"],
+                               e["chart.period_y"], spin_structure=e["chart.spin_structure"])
 
     def build_reaction(self) -> ReactionSpec:
         e = self.entries
@@ -173,11 +150,6 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key}: {exc}") from exc
         entries[key] = checked(key, val, f"line {lineno}")
-    dom = entries["chart.domain"]
-    unread = sorted(k for k in seen if k.startswith("chart.") and k != "chart.domain"
-                    and k[len("chart."):] not in _DOMAIN_KEYS[dom])
-    if unread:
-        raise ConfigurationError(f"{', '.join(unread)} not read on a {dom} chart")
     return RunConfig(entries)
 
 

@@ -10,9 +10,15 @@ stencils on non-periodic edges and on the disk boundary ring.  The spectral
 mode (torus only) realizes the four spin structures by half-integer frequency
 shifts: the stored section is modulated to a periodic function, transformed,
 and the frequencies along an antiperiodic cycle become 2*pi*(k + 1/2)/L.
+The symbols, the phase and the kernel count of a torus chart are built once
+per chart (``torus_setup``) and read by every spectral operator, which
+applies the phase and transforms in place.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,69 +145,91 @@ def diff2_y(values: np.ndarray, chart: GridChart) -> np.ndarray:
 # spectral transform with spin-structure shifts
 # ---------------------------------------------------------------------------
 
+# Per-chart caches (the torus setup here, kernel grids, disk systems and disk
+# factors in ``green``) hold at most this many charts each; a disk factor takes
+# about 60 MB at 257 nodes.
+_CACHE_CHARTS = 16
+
+
+class TorusSetup(NamedTuple):
+    """Spectral data of one torus chart, built once (``torus_setup``).
+
+    On the fft grid, with the half shifts of the spin structure in the
+    angular frequencies (xi, eta), (D psi)^ = (a psi2^, -b psi1^) and the
+    Laplacian's symbol is ``lap``.  ``phase`` is the modulation that makes a
+    stored section periodic and ``unphase`` its conjugate.  The arrays are
+    read-only, shape (ny, nx); ``zero_modes`` counts the modes where the
+    symbol vanishes (the kernel of D).
+    """
+    a: np.ndarray
+    b: np.ndarray
+    lap: np.ndarray
+    phase: np.ndarray
+    unphase: np.ndarray
+    zero_modes: int
+    min_modulus: float
+
+
 def _require_torus(chart: GridChart, what: str):
     if chart.kind != TORUS:
         raise DomainError(f"{what} requires a torus chart, got {chart.kind!r}")
 
 
-def _spin_phase(chart: GridChart) -> np.ndarray:
-    """Modulation making an (anti)periodic section periodic, shape (ny, nx)."""
+@lru_cache(maxsize=_CACHE_CHARTS)
+def _torus_setup(chart: GridChart) -> TorusSetup:
     sx, sy = chart.spin_shifts
     Lx, Ly = chart.params
     px = np.exp(-2j * np.pi * sx * chart.xs / Lx)
     py = np.exp(-2j * np.pi * sy * chart.ys / Ly)
-    return py[:, None] * px[None, :]
+    phase = py[:, None] * px[None, :]
+    xi = (2.0 * np.pi * (np.fft.fftfreq(chart.nx) * chart.nx + sx) / Lx)[None, :]
+    eta = (2.0 * np.pi * (np.fft.fftfreq(chart.ny) * chart.ny + sy) / Ly)[:, None]
+    a = 1j * (xi + 1j * eta)     # symbol of 2 dbar
+    b = 1j * (xi - 1j * eta)     # symbol of 2 d
+    mods = np.abs(a)
+    arrays = (a, b, -(xi * xi + eta * eta), phase, np.conj(phase))
+    for arr in arrays:
+        arr.flags.writeable = False
+    scale = 2.0 * np.pi / max(chart.params)
+    return TorusSetup(*arrays, int(np.count_nonzero(mods < 1e-12 * scale)),
+                      float(mods.min()))
 
 
-def spin_frequencies(chart: GridChart):
-    """Angular frequencies (xi, eta) on the fft grid, incl. half shifts."""
-    sx, sy = chart.spin_shifts
-    Lx, Ly = chart.params
-    kx = np.fft.fftfreq(chart.nx) * chart.nx + sx
-    ky = np.fft.fftfreq(chart.ny) * chart.ny + sy
-    xi = 2.0 * np.pi * kx / Lx
-    eta = 2.0 * np.pi * ky / Ly
-    return xi[None, :], eta[:, None]
+def torus_setup(chart: GridChart, what: str, invertible: bool = False) -> TorusSetup:
+    """The cached spectral data of a torus chart.  DomainError on any other
+    chart; with ``invertible``, ConfigurationError when the Dirac operator
+    has a kernel (the PP spin structure carries the constant sections)."""
+    _require_torus(chart, what)
+    setup = _torus_setup(chart)
+    if invertible and setup.zero_modes:
+        raise ConfigurationError(
+            f"{what} needs an invertible Dirac operator; spin structure "
+            f"{chart.spin_structure} has {setup.zero_modes} zero mode(s)")
+    return setup
 
 
 def spin_fft2(values: np.ndarray, chart: GridChart) -> np.ndarray:
-    phase = _spin_phase(chart)
-    return np.fft.fft2(values * phase[:, :, None, None], axes=(0, 1))
+    """Transform of the modulated section over the node axes (a new array)."""
+    buf = values * torus_setup(chart, "the spin transform").phase[:, :, None, None]
+    return np.fft.fft2(buf, axes=(0, 1), out=buf)
 
 
 def spin_ifft2(vhat: np.ndarray, chart: GridChart) -> np.ndarray:
-    phase = _spin_phase(chart)
-    return np.fft.ifft2(vhat, axes=(0, 1)) * np.conj(phase)[:, :, None, None]
-
-
-def dirac_symbols(chart: GridChart):
-    """Per-mode factors (a, b) with (D psi)^ = (a psi2^, -b psi1^)."""
-    xi, eta = spin_frequencies(chart)
-    a = 1j * (xi + 1j * eta)     # symbol of 2 dbar
-    b = 1j * (xi - 1j * eta)     # symbol of 2 d
-    return a, b
+    """Inverse of ``spin_fft2``, computed in place: ``vhat`` is overwritten
+    with the section and returned.  (``np.fft.ifft2`` ignores ``out=``, so
+    the transform is ``ifftn`` over the node axes.)"""
+    unphase = torus_setup(chart, "the spin transform").unphase
+    np.fft.ifftn(vhat, axes=(0, 1), out=vhat)
+    vhat *= unphase[:, :, None, None]
+    return vhat
 
 
 def symbol_report(chart: GridChart) -> dict:
     """Kernel inspection: the symbol vanishes exactly on zero modes."""
-    _require_torus(chart, "symbol inspection")
-    a, _ = dirac_symbols(chart)
-    mods = np.abs(a)
-    scale = 2.0 * np.pi / max(chart.params)
-    zero_modes = int(np.count_nonzero(mods < 1e-12 * scale))
-    return {"min_symbol_modulus": float(mods.min()),
-            "zero_modes": zero_modes,
-            "invertible": zero_modes == 0}
-
-
-def require_invertible(chart: GridChart, what: str) -> None:
-    """Raise ConfigurationError when the Dirac operator on this torus has a
-    kernel (the PP spin structure carries the constant sections)."""
-    rep = symbol_report(chart)
-    if not rep["invertible"]:
-        raise ConfigurationError(
-            f"{what} needs an invertible Dirac operator; spin structure "
-            f"{chart.spin_structure} has {rep['zero_modes']} zero mode(s)")
+    setup = torus_setup(chart, "symbol inspection")
+    return {"min_symbol_modulus": setup.min_modulus,
+            "zero_modes": setup.zero_modes,
+            "invertible": setup.zero_modes == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +243,14 @@ def dirac_apply(psi: SpinorField, mode: str = FD) -> SpinorField:
         raise DomainError("the flat Dirac operator is not defined on cylinder charts")
     v = psi.values
     if mode == SPECTRAL:
-        _require_torus(chart, "spectral mode")
-        a, b = dirac_symbols(chart)
+        setup = torus_setup(chart, "spectral mode")
         vh = spin_fft2(v, chart)
-        out = np.empty_like(vh)
-        out[..., 0] = a[:, :, None] * vh[..., 1]
-        out[..., 1] = -b[:, :, None] * vh[..., 0]
-        return SpinorField(chart, spin_ifft2(out, chart), psi.tag)
+        d1 = setup.a[:, :, None] * vh[..., 1]
+        # each product reads an input apart from its output: a product into
+        # an overlapping view goes through numpy's buffers and its bits change
+        np.multiply(setup.b[:, :, None], -vh[..., 0], out=vh[..., 1])
+        vh[..., 0] = d1
+        return SpinorField(chart, spin_ifft2(vh, chart), psi.tag)
     if mode != FD:
         raise ConfigurationError(f"unknown mode {mode!r}")
     dx = diff_x(v, chart)
@@ -242,11 +271,10 @@ def laplace_apply(psi: SpinorField, mode: str = FD) -> SpinorField:
         raise DomainError("the flat Laplacian is not defined on cylinder charts")
     v = psi.values
     if mode == SPECTRAL:
-        _require_torus(chart, "spectral mode")
-        xi, eta = spin_frequencies(chart)
-        sym = -(xi * xi + eta * eta)
+        lap = torus_setup(chart, "spectral mode").lap
         vh = spin_fft2(v, chart)
-        return SpinorField(chart, spin_ifft2(sym[:, :, None, None] * vh, chart), psi.tag)
+        vh *= lap[:, :, None, None]
+        return SpinorField(chart, spin_ifft2(vh, chart), psi.tag)
     if mode != FD:
         raise ConfigurationError(f"unknown mode {mode!r}")
     out = diff2_x(v, chart) + diff2_y(v, chart)
@@ -258,14 +286,12 @@ def laplace_apply(psi: SpinorField, mode: str = FD) -> SpinorField:
 def dirac_inverse_spectral(f: SpinorField) -> SpinorField:
     """Solve D psi = f exactly per Fourier mode (kernel-free torus only)."""
     chart = f.chart
-    _require_torus(chart, "the spectral Dirac inverse")
-    require_invertible(chart, "the spectral Dirac inverse")
-    a, b = dirac_symbols(chart)
+    setup = torus_setup(chart, "the spectral Dirac inverse", invertible=True)
     fh = spin_fft2(f.values, chart)
-    out = np.empty_like(fh)
-    out[..., 0] = -fh[..., 1] / b[:, :, None]
-    out[..., 1] = fh[..., 0] / a[:, :, None]
-    return SpinorField(chart, spin_ifft2(out, chart), f.tag)
+    psi2 = fh[..., 0] / setup.a[:, :, None]
+    np.divide(-fh[..., 1], setup.b[:, :, None], out=fh[..., 0])
+    fh[..., 1] = psi2
+    return SpinorField(chart, spin_ifft2(fh, chart), f.tag)
 
 
 def weitzenboeck_residual(psi: SpinorField, mode: str = SPECTRAL, op=None) -> float:

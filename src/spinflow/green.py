@@ -22,6 +22,10 @@ the n-node output window of a circular convolution of size
 linear indices of at least 2n-1, past the window.
 
 Both routes evaluate the same sums, so they must agree to roundoff.
+
+``dirac_inverse(chart)`` is the one place that chooses how to invert D for
+the solvers: the spectral inverse on a kernel-free torus, ``disk_solve`` with
+a boundary trace on the disk.  It rejects any other chart before a solve runs.
 """
 
 from __future__ import annotations
@@ -35,16 +39,11 @@ import scipy.sparse.linalg
 from scipy import ndimage
 
 from .charts import DISK, RECT, TORUS, GridChart, SpinorField
-from .dirac import (_spin_phase, diff_x, diff_y, dirac_inverse_spectral,
-                    dirac_symbols, require_invertible)
+from .dirac import _CACHE_CHARTS, diff_x, diff_y, dirac_inverse_spectral, torus_setup
 from .errors import ConfigurationError, DomainError, PreconditionError, SolverError
 from .fields import plane_wave_sum, smoothstep7
 from .rng import SplitMix64
 from .spinors import scalar_lp_norm
-
-# Kernel grids, disk systems and disk factors are cached per chart, at most
-# this many each; a disk factor takes about 60 MB at 257 nodes.
-_CACHE_CHARTS = 16
 
 
 class GreenKernel:
@@ -151,16 +150,14 @@ def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
         return dirac_inverse_spectral(f)
     out = np.zeros_like(f.values)
     if chart.kind == TORUS:
-        require_invertible(chart, "the torus Green kernel")
-        a, b = dirac_symbols(chart)
-        G1 = np.fft.ifft2(-1.0 / b)     # w1 <- f2
-        G2 = np.fft.ifft2(1.0 / a)      # w2 <- f1
-        phase = _spin_phase(chart)
+        setup = torus_setup(chart, "the torus Green kernel", invertible=True)
+        G1 = np.fft.ifft2(-1.0 / setup.b)     # w1 <- f2
+        G2 = np.fft.ifft2(1.0 / setup.a)      # w2 <- f1
         for i in range(f.n):
-            m1 = f.values[:, :, i, 0] * phase
-            m2 = f.values[:, :, i, 1] * phase
-            out[:, :, i, 0] = _circular_conv_direct(G1, m2) * np.conj(phase)
-            out[:, :, i, 1] = _circular_conv_direct(G2, m1) * np.conj(phase)
+            m1 = f.values[:, :, i, 0] * setup.phase
+            m2 = f.values[:, :, i, 1] * setup.phase
+            out[:, :, i, 0] = _circular_conv_direct(G1, m2) * setup.unphase
+            out[:, :, i, 1] = _circular_conv_direct(G2, m1) * setup.unphase
         return SpinorField(chart, out, f.tag)
     if chart.kind not in (DISK, RECT):
         raise DomainError(f"green_convolve does not support {chart.kind!r} charts")
@@ -242,21 +239,6 @@ def _disk_factor(chart: GridChart):
         relax=4, panel_size=4, options=dict(SymmetricMode=True))
 
 
-def boundary_trace_norm(chart: GridChart, trace: np.ndarray, p: float) -> float:
-    """W^{1,p} norm of boundary data: p-norms of the trace and its arclength
-    derivative (centered differences along the discrete boundary curve)."""
-    coords = chart.boundary_coords
-    nb = coords.shape[0]
-    seg = np.linalg.norm(np.roll(coords, -1, axis=0) - coords, axis=1)
-    ds = 0.5 * (seg + np.roll(seg, 1))
-    tr = trace.reshape(nb, -1)
-    dtr = (np.roll(tr, -1, axis=0) - np.roll(tr, 1, axis=0)) / \
-        (seg + np.roll(seg, 1))[:, None]
-    mag = np.sqrt(np.sum(np.abs(tr) ** 2, axis=1))
-    dmag = np.sqrt(np.sum(np.abs(dtr) ** 2, axis=1))
-    return float(np.sum((mag ** p + dmag ** p) * ds) ** (1.0 / p))
-
-
 def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     """Solve D psi = f on the disk with psi = trace on the boundary ring.
 
@@ -320,6 +302,34 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
               "least_squares_residual": max(ls_residuals),
               "iterations": max(len(h) for h in histories)}
     return psi, report
+
+
+def dirac_inverse(chart: GridChart, trace: np.ndarray | None = None):
+    """The Dirac inverse on ``chart`` as a callable f -> psi; the one place
+    that chooses it, so a chart it cannot serve is rejected before any solve.
+
+    On a torus with a kernel-free spin structure it is
+    ``dirac_inverse_spectral``, and a ``trace`` is a ConfigurationError (the
+    torus has no boundary).  On a disk it is ``disk_solve`` with boundary
+    values ``trace`` (shape (n_boundary, n, 2)), zero when none is given.
+    Any other chart, or a torus whose Dirac operator has a kernel, is a
+    ConfigurationError.
+    """
+    if chart.kind == TORUS:
+        if trace is not None:
+            raise ConfigurationError("a boundary trace is read on disk charts only; "
+                                     "the torus has no boundary")
+        torus_setup(chart, "the torus Dirac inverse", invertible=True)
+        return dirac_inverse_spectral
+    if chart.kind == DISK:
+        nb = chart.boundary_nodes.shape[0]
+
+        def inverse(f: SpinorField) -> SpinorField:
+            tr = trace if trace is not None else np.zeros((nb, f.n, 2), np.complex128)
+            return disk_solve(f, tr)[0]
+
+        return inverse
+    raise ConfigurationError(f"the Dirac inverse is not defined on {chart.kind!r} charts")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Residuals, damped Picard iteration, and Newton refinement.
 
 The fixed-point map is psi <- (1 - theta) psi + theta Dinv(rhs(psi) + forcing)
-with the exact spectral Dirac inverse on kernel-free torus spin structures,
-or the disk boundary-value solve with a fixed trace.  The map contracts in
+with the Dirac inverse that ``green.dirac_inverse`` picks for the chart: the
+exact spectral inverse on kernel-free torus spin structures, or the disk
+boundary-value solve with a fixed trace.  A chart it cannot serve is a
+ConfigurationError before the first sweep.  The map contracts in
 the small-energy regime, so theta starts at 1 and only halves, down to a
 floor, when an update fails to shrink.  The margin h0 * ||psi||_{L4}^2
 against the configured guard is tracked every sweep and flagged, never enforced.
@@ -10,7 +12,7 @@ against the configured guard is tracked every sweep and flagged, never enforced.
 Newton refinement linearizes the cubic term.  The derivative is only
 real-linear (Hermitian pairings conjugate one slot), so the linear solve runs
 GMRES on real-stacked vectors of the preconditioned update equation
-(I - Dinv o Drhs) delta = -Dinv r.
+(I - Dinv o Drhs) delta = -Dinv r, with the same ``green.dirac_inverse``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .charts import DISK, TORUS, GridChart, SpinorField
-from .dirac import dirac_apply, dirac_inverse_spectral, require_invertible
+from .charts import TORUS, SpinorField
+from .dirac import dirac_apply
 from .errors import ConfigurationError, DivergenceError
-from .green import disk_solve
+from .green import dirac_inverse
 from .reactions import ReactionSpec
 from .spinors import energy, lp_norm
 
@@ -69,22 +71,6 @@ class PicardReport:
     reason: str = ""
 
 
-def _make_inverse(chart: GridChart, trace):
-    if chart.kind == TORUS:
-        require_invertible(chart, "Picard iteration")
-        return dirac_inverse_spectral, "spectral"
-    if chart.kind == DISK:
-        nb = chart.boundary_nodes.shape[0]
-
-        def inv(f):
-            tr = trace if trace is not None else np.zeros((nb, f.n, 2), complex)
-            sol, _ = disk_solve(f, tr)
-            return sol
-
-        return inv, "fd"
-    raise ConfigurationError(f"Picard iteration is not defined on {chart.kind!r} charts")
-
-
 def picard_solve(spec: ReactionSpec, seed: SpinorField,
                  forcing: SpinorField | None = None, damping: float = 0.5,
                  tol: float = 1e-8, max_iter: int = 400, guard: float = 0.5,
@@ -97,7 +83,8 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
     (exact spectral inverse) the L^{4/3} residual must also reach 10 tol.  On
     the disk the reported residual is measured with the node-based FD operator
     and floors at its O(h^2) truncation against the cell-based inner solve, so
-    only the update norm gates convergence there.  Raises DivergenceError when
+    only the update norm gates convergence there.  ``trace`` holds the disk
+    boundary values (zero when None); on a torus it is a ConfigurationError.  Raises DivergenceError when
     the update norm grows by 10x over 20 iterations.  Returns (psi,
     PicardReport); ``report.reason`` is "converged" or names the sweep limit.
     """
@@ -105,7 +92,8 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
         raise ConfigurationError("damping must lie in (0, 1]")
     seed.validate()
     chart = seed.chart
-    inverse, res_mode = _make_inverse(chart, trace)
+    inverse = dirac_inverse(chart, trace)
+    res_mode = "spectral" if chart.kind == TORUS else "fd"
     report = PicardReport(False, 0)
     psi = seed.copy()
     theta = 1.0
@@ -161,9 +149,11 @@ def _real_unflatten(vec: np.ndarray, shape) -> np.ndarray:
 def newton_refine(spec: ReactionSpec, psi: SpinorField,
                   forcing: SpinorField | None = None, tol: float = 1e-10,
                   max_steps: int = 5) -> tuple:
-    """Newton steps on the torus; residual strictly decreases or the report
-    flags stagnation (disk charts stagnate immediately: the inner linear
-    solve is only wired to the spectral inverse).  ``report.reason`` is
+    """Newton steps on the torus, preconditioned by the spectral inverse of
+    ``green.dirac_inverse``; residual strictly decreases or the report flags
+    stagnation.  Other charts stagnate immediately: on the disk the node-based
+    FD residual floors at O(h^2) against the box scheme that ``disk_solve``
+    inverts, so Newton there needs a residual of its own.  ``report.reason`` is
     "converged" on success and otherwise says why the steps stopped.  A step
     leaves about rtol * rnorm, so GMRES runs to rtol = 0.1 tol / rnorm in
     [1e-10, 0.1].  ``psi`` is never written; the torus path does not copy it."""
@@ -173,7 +163,7 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
         report.stagnated = True
         report.reason = f"newton refinement not available on {chart.kind!r} charts"
         return psi.copy(), report
-    require_invertible(chart, "Newton refinement")
+    inverse = dirac_inverse(chart)
     shape = psi.values.shape
     res_field, rnorm = residual(spec, psi, forcing, mode="spectral")
     report.residual_norms.append(rnorm)
@@ -183,11 +173,11 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
 
         def matvec(vec):
             lin = spec.linearize(psi, SpinorField(chart, _real_unflatten(vec, shape)))
-            return vec - _real_flatten(dirac_inverse_spectral(lin).values)
+            return vec - _real_flatten(inverse(lin).values)
 
         op = scipy.sparse.linalg.LinearOperator(
             (2 * np.prod(shape), 2 * np.prod(shape)), matvec=matvec, dtype=float)
-        rhs_vec = -_real_flatten(dirac_inverse_spectral(res_field).values)
+        rhs_vec = -_real_flatten(inverse(res_field).values)
         del res_field   # not held through the Krylov solve
         sol, info = scipy.sparse.linalg.gmres(op, rhs_vec, atol=0.0, restart=40, maxiter=50,
                                               rtol=min(0.1, max(1e-10, 0.1 * tol / rnorm)))

@@ -80,11 +80,6 @@ def chirality_project(sign: int, psi: SpinorField) -> SpinorField:
     return apply_matrix(PROJ_PLUS if sign > 0 else PROJ_MINUS, psi)
 
 
-def block_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a, b> per node for (..., 2) blocks; conjugate-linear in b."""
-    return np.sum(a * np.conj(b), axis=-1)
-
-
 def component_inners(psi: SpinorField) -> np.ndarray:
     """Matrix of products <psi^j, psi^k>, shape (ny, nx, n, n)."""
     v = psi.values

@@ -22,6 +22,25 @@ def random_field(chart, n=1, seed=0, scale=1.0):
     return SpinorField(chart, vals)
 
 
+def zero_outside(psi):
+    """Zero ``psi`` on the nodes outside its chart's domain, in place; returns psi."""
+    psi.values[~psi.chart.active] = 0.0
+    return psi
+
+
+def block_inner(a, b):
+    """<a, b> per node for (..., 2) blocks; conjugate-linear in b."""
+    return np.sum(a * np.conj(b), axis=-1)
+
+
+def bubbles_by_point(ledger):
+    """The ledger's bubble entries grouped by blow-up point."""
+    groups = {}
+    for b in ledger.bubbles:
+        groups.setdefault(b.point, []).append(b)
+    return groups
+
+
 def rel_l2(chart, a, b):
     d = np.sqrt(np.sum(np.abs(a - b) ** 2, axis=(2, 3)))
     r = np.sqrt(np.sum(np.abs(b) ** 2, axis=(2, 3)))

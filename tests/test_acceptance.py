@@ -28,7 +28,7 @@ from spinflow.verify import _conformal_errors
 from spinflow.weierstrass import (integrate_surface, mean_curvature, mesh_area,
                                   null_identity_defect)
 
-from conftest import random_field, rel_l2
+from conftest import bubbles_by_point, random_field, rel_l2
 
 
 def report(name, ok, detail):
@@ -245,7 +245,7 @@ class TestAcceptance:
                    (points[0].node, lams[-1], p1, 0.5),
                    (points[1].node, lams[-1], p2, 1.1)] if two_points else []
         led = ledger_assemble(seq, SpinorField(chart, bg_vals), bubbles, h0=1.0)
-        groups = led.by_point()
+        groups = bubbles_by_point(led)
         grouped_ok = sorted(len(v) for v in groups.values()) == [1, 2]
         defect_frac = abs(led.defect) / led.total_limit
         dt = time.time() - t0

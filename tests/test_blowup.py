@@ -12,6 +12,8 @@ from spinflow.fields import (bubble_profile_energy, enneper_field,
                              shell_profile_energy, smoothstep7)
 from spinflow.spinors import energy
 
+from conftest import bubbles_by_point
+
 
 def make_background(chart, amp=0.25):
     X, Y = chart.grid()
@@ -319,11 +321,11 @@ class TestLedger:
                    (pts[0].node, lams[-1], p1, e_ring),
                    (pts[1].node, lams[-1], p2, 1.1)]
         led = ledger_assemble(seq, SpinorField(torus128, bg), bubbles, h0=1.0)
-        groups = led.by_point()
+        groups = bubbles_by_point(led)
         assert sorted(len(v) for v in groups.values()) == [1, 2]
         assert abs(led.defect) <= 0.01 * led.total_limit
 
     def test_defect_recompute_exact(self, torus128):
         seq, lams, bg = single_bubble_sequence(torus128, (0.5, 0.5), length=4)
         led = ledger_assemble(seq, bg, [((64, 64), lams[-1], (0.5, 0.5), 1.1)])
-        assert led.recompute_defect() == led.defect
+        assert led.total_limit - led.background - led.bubble_total() == led.defect

@@ -313,7 +313,7 @@ def _exit_case(name, tmp_path):
         write_cfg(cfg, "chart.nx = 32\nchart.radius = 2.0\nreaction.h = 0.0\n"
                        "solver.newton = false\n")
         return (["solve", "--config", str(cfg), "--out", str(tmp_path)],
-                "chart.radius not read on a torus chart")
+                "unknown key 'chart.radius'")
     if name == "io":
         return (["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)],
                 "i/o error")

@@ -53,25 +53,38 @@ class TestParsing:
         ("sphere", "chart.ny = 9"), ("sphere", "chart.radius = 1"),
     ])
     def test_key_unread_by_domain_rejected(self, domain, key):
-        with pytest.raises(ConfigurationError, match="not read on a %s chart" % domain):
-            parse_config(f"chart.domain = {domain}\nchart.nx = 17\n{key}")
+        # only the torus is built: any other domain is out of range, and the
+        # keys that only those domains read are unknown
+        if domain != "torus":
+            with pytest.raises(ConfigurationError,
+                               match=f"chart.domain = '{domain}' out of range"):
+                parse_config(f"chart.domain = {domain}\nchart.nx = 17\n{key}")
+        name = key.split("=")[0].strip()
+        if name in ("chart.radius", "chart.x0", "chart.extent"):
+            with pytest.raises(ConfigurationError, match=f"unknown key '{name}'"):
+                parse_config(f"chart.nx = 17\n{key}")
+        else:
+            parse_config(f"chart.nx = 17\n{key}").build_chart()
 
     def test_keys_read_by_domain_accepted(self):
-        for text in ("chart.nx = 16\nchart.ny = 24\nchart.period_x = 2\n"
-                     "chart.period_y = 3\nchart.spin_structure = PA",
-                     "chart.domain = disk\nchart.nx = 17\nchart.radius = 2",
+        chart = parse_config("chart.nx = 16\nchart.ny = 24\nchart.period_x = 2\n"
+                             "chart.period_y = 3\nchart.spin_structure = PA").build_chart()
+        assert (chart.kind, chart.nx, chart.ny) == ("torus", 16, 24)
+        assert (chart.params, chart.spin_structure) == ((2.0, 3.0), "PA")
+        for text in ("chart.domain = disk\nchart.nx = 17\nchart.radius = 2",
                      "chart.domain = rect\nchart.nx = 9\nchart.ny = 11\nchart.x0 = 0\n"
                      "chart.x1 = 2\nchart.y0 = 0\nchart.y1 = 1",
                      "chart.domain = sphere\nchart.nx = 17\nchart.extent = 3"):
-            parse_config(text).build_chart()
+            with pytest.raises(ConfigurationError, match="out of range"):
+                parse_config(text)
 
     def test_bad_syntax(self):
         with pytest.raises(ConfigurationError, match="key = value"):
             parse_config("just a line")
 
     @pytest.mark.parametrize("build", [
-        lambda: parse_config("chart.x0 = nan"),
-        lambda: parse_config("chart.x1 = inf"),
+        lambda: parse_config("chart.period_y = nan"),
+        lambda: parse_config("solver.guard = inf"),
         lambda: parse_config("solver.tol = inf"),
         lambda: parse_config("analysis.radii = 0.1, nan"),
         lambda: parse_config("chart.period_x = -inf"),
@@ -87,7 +100,7 @@ class TestParsing:
         lambda: GridChart.sphere(9, float("inf")),
         lambda: GridChart.cylinder(8, 8, float("-inf"), 1.0),
         lambda: GridChart.cylinder(8, 8, 0.0, float("nan")),
-    ], ids=["x0-nan", "x1-inf", "tol-inf", "radii-nan", "period-neg-inf", "h-nan",
+    ], ids=["period-y-nan", "guard-inf", "tol-inf", "radii-nan", "period-neg-inf", "h-nan",
             "torus-period-nan", "torus-period-inf", "disk-nan", "disk-inf", "disk-huge",
             "rect-nan", "rect-neg-inf", "rect-span-overflow", "sphere-inf",
             "cylinder-t0-inf", "cylinder-t1-nan"])
@@ -115,12 +128,10 @@ class TestBuilders:
     def test_chart_kinds(self):
         torus = parse_config("chart.domain = torus\nchart.nx = 16").build_chart()
         assert torus.kind == "torus" and torus.spin_structure == "AA"
-        disk = parse_config("chart.domain = disk\nchart.nx = 17\nchart.radius = 2.0"
-                            ).build_chart()
-        assert disk.kind == "disk" and disk.params == (2.0,)
-        rect = parse_config("chart.domain = rect\nchart.nx = 9\nchart.x0 = 0\n"
-                            "chart.x1 = 2").build_chart()
-        assert rect.kind == "rect" and rect.params[1] == 2.0
+        # the torus is the only chart a command builds from the configuration
+        for domain in ("disk", "rect", "sphere"):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                parse_config(f"chart.domain = {domain}\nchart.nx = 17")
 
     def test_reaction_kinds(self):
         assert isinstance(parse_config("reaction.type = scalar_h").build_reaction(),

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from spinflow.charts import GridChart, SpinorField
-from spinflow.dirac import (diff2_x, diff2_y, diff_x, diff_y, dirac_apply,
-                            dirac_inverse_spectral, laplace_apply, symbol_report,
-                            weitzenboeck_residual)
+from spinflow.dirac import (_torus_setup, diff2_x, diff2_y, diff_x, diff_y, dirac_apply,
+                            dirac_inverse_spectral, laplace_apply, spin_fft2, spin_ifft2,
+                            symbol_report, weitzenboeck_residual)
 from spinflow.errors import ConfigurationError, DomainError
 from spinflow.fields import torus_mode_field
-from spinflow.spinors import block_inner, energy
+from spinflow.spinors import energy
 from spinflow.verify import _broken_dirac
 
-from conftest import rel_l2
+from conftest import block_inner, rel_l2
 
 
 class TestDiracApply:
@@ -112,6 +112,35 @@ class TestWeitzenboeck:
         broken = weitzenboeck_residual(psi, "fd", op=_broken_dirac)
         assert broken > 5.0 * clean
         assert weitzenboeck_residual(psi, "fd", op=dirac_apply) == clean
+
+
+class TestTorusSetup:
+    @pytest.mark.parametrize("spin", ["PP", "PA", "AP", "AA"])
+    def test_arrays_read_only(self, spin):
+        setup = _torus_setup(GridChart.torus(16, 24, spin_structure=spin))
+        for arr in (setup.a, setup.b, setup.lap, setup.phase, setup.unphase):
+            assert arr.shape == (24, 16) and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    @pytest.mark.parametrize("spin", ["PA", "AP", "AA"])
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (96, 80)])
+    def test_inverse_transform_matches_out_of_place(self, spin, nx, ny):
+        # np.fft.ifft2 ignores out=; spin_ifft2 must still give the bytes of
+        # an out-of-place inverse transform followed by the phase product
+        chart = GridChart.torus(nx, ny, period_x=1.0, period_y=1.3, spin_structure=spin)
+        rng = np.random.default_rng(nx + ny)
+        vhat = rng.standard_normal((ny, nx, 2, 2)) + 1j * rng.standard_normal((ny, nx, 2, 2))
+        sx, sy = chart.spin_shifts
+        phase = (np.exp(-2j * np.pi * sy * chart.ys / 1.3)[:, None]
+                 * np.exp(-2j * np.pi * sx * chart.xs / 1.0)[None, :])
+        ref = np.fft.ifft2(vhat, axes=(0, 1)) * np.conj(phase)[:, :, None, None]
+        buf = vhat.copy()
+        out = spin_ifft2(buf, chart)
+        assert out is buf
+        assert out.tobytes() == ref.tobytes()
+        fwd = np.fft.fft2(ref * phase[:, :, None, None], axes=(0, 1))
+        assert spin_fft2(ref, chart).tobytes() == fwd.tobytes()
 
 
 class TestKernel:

@@ -3,16 +3,32 @@ import pytest
 import scipy.sparse.linalg
 
 from spinflow.charts import GridChart, SpinorField
-from spinflow.dirac import dirac_apply
-from spinflow.errors import PreconditionError, SolverError
+from spinflow.dirac import dirac_apply, dirac_inverse_spectral
+from spinflow.errors import ConfigurationError, PreconditionError, SolverError
 from spinflow.fields import compact_bump_field
-from spinflow.green import (GreenKernel, _disk_system, boundary_trace_norm,
-                            disk_solve, estimate_ratio, green_convolve,
-                            windowed_mode_field, gradient_magnitude)
+from spinflow.green import (GreenKernel, _disk_system, dirac_inverse, disk_solve,
+                            estimate_ratio, green_convolve, windowed_mode_field,
+                            gradient_magnitude)
 from spinflow.rng import SplitMix64
 from spinflow.spinors import scalar_lp_norm
 
 from conftest import rel_l2
+
+
+def boundary_trace_norm(chart, trace, p):
+    """W^{1,p} norm of disk boundary data: p-norms of the trace and its
+    arclength derivative (centered differences along the discrete boundary
+    curve)."""
+    coords = chart.boundary_coords
+    nb = coords.shape[0]
+    seg = np.linalg.norm(np.roll(coords, -1, axis=0) - coords, axis=1)
+    ds = 0.5 * (seg + np.roll(seg, 1))
+    tr = trace.reshape(nb, -1)
+    dtr = (np.roll(tr, -1, axis=0) - np.roll(tr, 1, axis=0)) / \
+        (seg + np.roll(seg, 1))[:, None]
+    mag = np.sqrt(np.sum(np.abs(tr) ** 2, axis=1))
+    dmag = np.sqrt(np.sum(np.abs(dtr) ** 2, axis=1))
+    return float(np.sum((mag ** p + dmag ** p) * ds) ** (1.0 / p))
 
 
 class TestKernelRule:
@@ -233,6 +249,24 @@ class TestDiskSolveLU:
         bad.values[16, 16, 0, 0] = np.inf
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(SolverError):
             disk_solve(bad, np.zeros_like(trace))
+
+
+class TestDiracInverse:
+    def test_torus_is_the_spectral_inverse(self, torus64):
+        assert dirac_inverse(torus64) is dirac_inverse_spectral
+
+    def test_disk_default_trace_is_zero(self, disk33):
+        f = compact_bump_field(disk33)
+        zero = np.zeros((disk33.boundary_nodes.shape[0], 1, 2), complex)
+        assert np.array_equal(dirac_inverse(disk33)(f).values,
+                              disk_solve(f, zero)[0].values)
+
+    @pytest.mark.parametrize("chart", [
+        GridChart.rect(17), GridChart.sphere(17), GridChart.cylinder(16, 16, 0.0, 1.0)],
+        ids=["rect", "sphere", "cylinder"])
+    def test_other_charts_rejected(self, chart):
+        with pytest.raises(ConfigurationError, match="not defined"):
+            dirac_inverse(chart)
 
 
 class TestEstimateRatio:

@@ -27,7 +27,7 @@ from spinflow.reactions import CurvatureCubic, GeneralCubic, _contract
 from spinflow.rng import SplitMix64
 from spinflow.spinors import _region_mask, component_inners, lp_norm, pointwise_norm
 
-from conftest import random_field
+from conftest import random_field, zero_outside
 
 SPINS = ("PP", "PA", "AP", "AA")
 TORI = [(16, 16), (24, 20), (33, 33)]
@@ -280,8 +280,8 @@ def _ref_extract(seq, point, eps, search_radius):
 
 def _bubble_sequence(chart, center, lam0, ratio):
     amp = (1.1 / bubble_profile_energy(1.0)) ** 0.25
-    return [SpinorField(chart, planted_bubble(chart, center, lam0 * ratio ** m, amp))
-            .zero_outside() for m in range(8)]
+    return [zero_outside(SpinorField(chart, planted_bubble(chart, center, lam0 * ratio ** m,
+                                                           amp))) for m in range(8)]
 
 
 @pytest.mark.parametrize("chart, center, lam0, ratio, radii", [

@@ -3,7 +3,7 @@ import pytest
 
 from spinflow.charts import GridChart, SpinorField
 from spinflow.conformal import rescale
-from spinflow.dirac import dirac_apply, dirac_inverse_spectral
+from spinflow.dirac import _torus_setup, dirac_apply, dirac_inverse_spectral
 from spinflow.errors import ConfigurationError, DivergenceError
 from spinflow.fields import torus_mode_field
 from spinflow.green import _disk_factor, disk_solve, green_convolve
@@ -138,6 +138,12 @@ class TestPicard:
         with pytest.raises(ConfigurationError):
             picard_solve(ScalarH(0.5), SpinorField.zeros(chart, 1))
 
+    def test_torus_rejects_trace(self, torus64):
+        # the torus has no boundary, so a trace is an error, not ignored
+        trace = np.zeros((8, 1, 2), complex)
+        with pytest.raises(ConfigurationError, match="trace"):
+            picard_solve(_NoSweep(0.5), SpinorField.zeros(torus64, 1), trace=trace)
+
     def test_disk_picard_with_trace(self):
         # small-data solve on the disk driven by the boundary trace
         chart = GridChart.disk(25, 1.0)
@@ -164,6 +170,18 @@ class TestPicard:
         assert rep.iterations == 5
         info = _disk_factor.cache_info()
         assert (info.misses, info.hits) == (1, rep.iterations - 1)
+
+
+def test_torus_setup_built_once(torus64):
+    # Picard and Newton share one cached setup of the chart
+    spec = ScalarH(1.0)
+    _, forcing = manufactured(torus64, spec)
+    _torus_setup.cache_clear()
+    sol, prep = picard_solve(spec, SpinorField.zeros(torus64, 1), forcing=forcing, tol=1e-6)
+    _, nrep = newton_refine(spec, sol, forcing=forcing, tol=1e-11)
+    assert prep.converged and nrep.converged and nrep.steps >= 1
+    info = _torus_setup.cache_info()
+    assert info.misses == 1 and info.hits > prep.iterations + nrep.steps
 
 
 class TestNewton:

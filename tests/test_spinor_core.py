@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinflow.charts import GridChart, SpinorField
-from spinflow.spinors import (CliffordRep, block_inner, chirality_project,
+from spinflow.spinors import (CliffordRep, chirality_project,
                               clifford_multiply, energy, lp_norm,
                               pointwise_norm)
 
-from conftest import random_field
+from conftest import block_inner, random_field, zero_outside
 
 
 class TestCliffordAlgebra:
@@ -159,7 +159,7 @@ class TestEnergy:
     def test_disk_boundary_half_weight(self, disk33):
         psi = SpinorField.zeros(disk33, 1)
         psi.values[..., 0, 0] = 1.0
-        psi.zero_outside()
+        zero_outside(psi)
         w = disk33.weights
         assert energy(psi) == pytest.approx(float(w.sum()), rel=1e-14)
         # jagged-rim quadrature area approaches pi R^2 at O(h)

@@ -17,7 +17,7 @@ from spinflow.green import _disk_system, disk_solve
 from spinflow.weierstrass import (_default_basepoint, _triangulate, integrate_surface,
                                   weierstrass_form)
 
-from conftest import random_field
+from conftest import random_field, zero_outside
 
 CHARTS = [GridChart.disk(nx, r) for nx in (9, 13, 17, 33) for r in (1.0, 0.73)]
 
@@ -130,8 +130,8 @@ class TestAgainstLoops:
 
     def test_disk_solve_rhs(self, chart):
         rng = np.random.default_rng(chart.nx)
-        f = SpinorField(chart, rng.standard_normal((chart.ny, chart.nx, 2, 2))
-                        + 1j * rng.standard_normal((chart.ny, chart.nx, 2, 2))).zero_outside()
+        f = zero_outside(SpinorField(chart, rng.standard_normal((chart.ny, chart.nx, 2, 2))
+                                     + 1j * rng.standard_normal((chart.ny, chart.nx, 2, 2))))
         trace = (rng.standard_normal((chart.boundary_nodes.shape[0], 2, 2))
                  + 1j * rng.standard_normal((chart.boundary_nodes.shape[0], 2, 2)))
         psi, rep = disk_solve(f, trace, tol=1e-6)

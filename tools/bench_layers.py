@@ -1,9 +1,15 @@
-"""Per-layer timings of the torus solve path, the disk Green layer and the
-analysis layers.
+"""Per-layer timings of the Dirac operators, the torus solve path, the disk
+Green layer and the analysis layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_10.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_11.json
 
-Times these operators on an AA torus with n = 2 at 128^2, 192^2 and 256^2:
+On an AA torus with n = 2 at 128^2, 192^2 and 256^2 it times
+``dirac.dirac_apply`` in FD and in spectral mode and
+``dirac.dirac_inverse_spectral`` on ``torus_mode_field`` of the seed, and
+records the tracemalloc peak of one warm call of each (``peak_bytes``, with
+the bytes of one field as ``field_bytes``).
+
+On the same tori it times:
 
 * ``reactions._contract`` with a constant tensor and the pairing matrix;
 * ``GeneralCubic.rhs`` and ``GeneralCubic.linearize``;
@@ -56,6 +62,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import scipy
@@ -64,7 +71,7 @@ from spinflow.blowup import blowup_set, extract_bubble, local_energy_grid
 from spinflow.charts import GridChart, SpinorField
 from spinflow.cli import _write_obj
 from spinflow.config import parse_config
-from spinflow.dirac import dirac_apply
+from spinflow.dirac import dirac_apply, dirac_inverse_spectral
 from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubble,
                              torus_mode_field)
 from spinflow.green import _disk_factor, disk_solve, green_convolve, windowed_mode_field
@@ -97,6 +104,29 @@ def _time(fn, repeats: int, before=None) -> dict:
             samples.append(time.perf_counter() - start)
     return {"median_s": statistics.median(samples), "min_s": min(samples),
             "max_s": max(samples), "repeats": repeats}
+
+
+def _peak_bytes(fn) -> int:
+    """tracemalloc peak of one call of ``fn`` above the memory traced before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def measure_dirac(size: int, repeats: int) -> dict:
+    psi = torus_mode_field(GridChart.torus(size, spin_structure="AA"), 0.3, N, SEED)
+    out = {}
+    for name, fn in (("dirac.dirac_apply.fd", lambda: dirac_apply(psi, "fd")),
+                     ("dirac.dirac_apply.spectral", lambda: dirac_apply(psi, "spectral")),
+                     ("dirac.dirac_inverse_spectral", lambda: dirac_inverse_spectral(psi))):
+        out[name] = _time(fn, repeats)      # its warm-up call fills any cache
+        out[name]["peak_bytes"] = _peak_bytes(fn)
+        out[name]["field_bytes"] = psi.values.nbytes
+    return out
 
 
 def measure(size: int, repeats: int) -> dict:
@@ -180,6 +210,8 @@ def main(argv=None) -> int:
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "threads": {k: os.environ.get(k) for k in THREAD_VARS}},
         "seed": SEED,
+        "dirac": {"chart": "torus AA", "n": N,
+                  "sizes": {f"{s}x{s}": measure_dirac(s, args.repeats) for s in SIZES}},
         "torus": {"chart": "torus AA", "n": N,
                   "sizes": {f"{s}x{s}": measure(s, args.repeats) for s in SIZES}},
         "disk": {"chart": "disk radius 1", "n": 1,
@@ -193,12 +225,13 @@ def main(argv=None) -> int:
     }
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for chart in ("torus", "disk", "blowup", "surface"):
+    for chart in ("dirac", "torus", "disk", "blowup", "surface"):
         for size, layers in doc["runs"][args.label][chart]["sizes"].items():
             for name, t in layers.items():
+                peak = f" peak {t['peak_bytes'] / 2 ** 20:.1f} MB" if "peak_bytes" in t else ""
                 sys.stdout.write(f"{args.label} {chart} {size} {name}: "
                                  f"{1e3 * t['median_s']:.2f} ms "
-                                 f"[{1e3 * t['min_s']:.2f}-{1e3 * t['max_s']:.2f}]\n")
+                                 f"[{1e3 * t['min_s']:.2f}-{1e3 * t['max_s']:.2f}]{peak}\n")
     return 0
 
 
