@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy import ndimage
 
 from .charts import TORUS, GridChart, SpinorField
 from .conformal import rescale
 from .errors import (ConfigurationError, DegenerateFitError, ExtractionError,
                      PreconditionError)
-from .green import _offset_grid, _padded_shape, gradient_magnitude
+from .green import conv_transform, conv_window, gradient_magnitude, offset_grid
 from .solve import smallness
 from .spinors import energy, pointwise_norm
 
@@ -36,32 +35,26 @@ def _min_image_dist2(chart: GridChart, cx: float, cy: float):
     return dx * dx + dy * dy
 
 
-def _fft(chart: GridChart, a: np.ndarray) -> np.ndarray:
-    """Circular transform on the torus, else zero-padded as in ``_linear_conv_fft``."""
-    if chart.kind == TORUS:
-        return np.fft.fft2(a)
-    return scipy.fft.fft2(a, _padded_shape(chart.ny, chart.nx))
-
-
 def _density_fft(psi: SpinorField) -> np.ndarray:
-    return _fft(psi.chart, pointwise_norm(psi) ** 4 * psi.chart.weights)
+    return conv_transform(psi.chart, pointwise_norm(psi) ** 4 * psi.chart.weights)
 
 
 def _stamp_fft(chart: GridChart, radius: float) -> np.ndarray:
-    """Transform of the indicator of B(0, radius): a node grid around node
-    (0, 0) on the torus, else an offset grid (``green._offset_grid``)."""
+    """``green.conv_transform`` of the indicator of B(0, radius), sampled on a
+    node grid around node (0, 0) on the torus, else on the offset grid
+    (``green.offset_grid``) that ``conv_window`` pairs with node grids."""
     dx, dy = (chart.min_image_offset(chart.xs[0], chart.ys[0]) if chart.kind == TORUS
-              else _offset_grid(chart))
-    return _fft(chart, (dx * dx + dy * dy <= radius * radius).astype(float))
+              else offset_grid(chart))
+    return conv_transform(chart, (dx * dx + dy * dy <= radius * radius).astype(float))
 
 
 def _disk_energy(chart: GridChart, dens_fft: np.ndarray, stamp_fft: np.ndarray) -> np.ndarray:
-    """E(psi; B(x, r)) for every node x from the two transforms."""
+    """E(psi; B(x, r)) for every node x from the two transforms.  Each branch
+    keeps its operand order, since complex products are not bitwise
+    commutative."""
     if chart.kind == TORUS:
-        return np.fft.ifft2(dens_fft * stamp_fft).real
-    ny, nx = chart.ny, chart.nx
-    full = scipy.fft.ifft2(stamp_fft * dens_fft)
-    return np.maximum(full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1].real, 0.0)
+        return conv_window(chart, dens_fft * stamp_fft).real
+    return np.maximum(conv_window(chart, stamp_fft * dens_fft).real, 0.0)
 
 
 def local_energy_grid(psi: SpinorField, radius: float) -> np.ndarray:
@@ -145,24 +138,20 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
 class BubbleExtraction:
     lambdas: list
     centers: list               # (x, y) per tail member
-    limit: SpinorField          # the last tail member, rescaled onto target_chart
-    target_chart: GridChart
+    limit: SpinorField          # the last tail member, rescaled onto a disk
 
 
 def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
-                   search_radius: float | None = None,
-                   target_chart: GridChart | None = None) -> BubbleExtraction:
+                   search_radius: float | None = None) -> BubbleExtraction:
     """Per tail member: the center maximizing disk energy and the scale at
     which that max equals epsilon/2 (bisection, tolerance epsilon/100), plus
     the finite-sequence limit: the last member rescaled at its center and
-    scale."""
+    scale onto a radius-4 disk of min(nx, 129) nodes, rounded to odd."""
     _check_same_chart(sequence)
     chart = sequence[0].chart
     if search_radius is None:
         search_radius = 0.25 * (min(chart.params) if chart.kind == TORUS else
                                 min(chart.xs[-1] - chart.xs[0], chart.ys[-1] - chart.ys[0]))
-    if target_chart is None:
-        target_chart = GridChart.disk(min(chart.nx, 129) // 2 * 2 + 1, radius=4.0)
     window = _min_image_dist2(chart, *point.location) <= search_radius ** 2
     window &= chart.active
     target_half = epsilon / 2.0
@@ -205,8 +194,9 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
         j, i = node
         lambdas.append(float(0.5 * (lo + hi)))
         centers.append((float(chart.xs[i]), float(chart.ys[j])))
-    limit = rescale(tail[-1], centers[-1], lambdas[-1], target_chart)
-    return BubbleExtraction(lambdas, centers, limit, target_chart)
+    target = GridChart.disk(min(chart.nx, 129) // 2 * 2 + 1, radius=4.0)
+    return BubbleExtraction(lambdas, centers,
+                            rescale(tail[-1], centers[-1], lambdas[-1], target))
 
 
 def neck_energy(psi: SpinorField, center, delta: float, R: float, lam: float) -> float:
@@ -238,11 +228,12 @@ class DecayProfile:
     threshold: float
 
 
-def decay_profile(psi: SpinorField, radii, center=(0.0, 0.0)) -> DecayProfile:
-    """F(r) = int_{B_r} |psi|^4 + |grad psi|^{4/3} and its log-log slope.
+def decay_profile(psi: SpinorField, radii) -> DecayProfile:
+    """F(r) = int_{B_r} |psi|^4 + |grad psi|^{4/3} about the origin and its
+    log-log slope.
 
     A clearly positive fitted exponent is consistent with a removable
-    singularity at the center; an exponent below ``DECAY_FLAG_BELOW`` is
+    singularity at the origin; an exponent below ``DECAY_FLAG_BELOW`` is
     flagged.
     """
     chart = psi.chart
@@ -253,7 +244,7 @@ def decay_profile(psi: SpinorField, radii, center=(0.0, 0.0)) -> DecayProfile:
         raise PreconditionError("smallest radius must be >= 4 h")
     grad = gradient_magnitude(psi)
     dens = (pointwise_norm(psi) ** 4 + grad ** (4.0 / 3.0)) * chart.weights
-    d2 = _min_image_dist2(chart, center[0], center[1])
+    d2 = _min_image_dist2(chart, 0.0, 0.0)
     values = []
     for r in radii:
         region = (d2 <= r * r) & chart.active

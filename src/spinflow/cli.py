@@ -60,11 +60,8 @@ def _write_report(out_dir: str, name: str, report: dict) -> str:
 
 
 def _h0(cfg: RunConfig, chart) -> float:
-    """Sup of the configured cubic coefficient on ``chart``; 0 if it has no bound."""
-    try:
-        return cfg.build_reaction().coefficient_bounds(chart)[0]
-    except ConfigurationError:
-        return 0.0
+    """Sup of the configured cubic coefficient on ``chart``."""
+    return cfg.build_reaction().coefficient_bounds(chart)[0]
 
 
 # ---------------------------------------------------------------------------

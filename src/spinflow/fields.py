@@ -35,18 +35,18 @@ def plane_wave_sum(stream: SplitMix64, e_x: np.ndarray, e_y: np.ndarray,
 
 
 def torus_mode_field(chart: GridChart, amplitude: float = 0.3, n: int = 1,
-                     seed: int = 0, modes=DEFAULT_MODES) -> SpinorField:
+                     seed: int = 0) -> SpinorField:
     """Band-limited random section compatible with the chart's spin structure.
 
-    Modes are exp(2 pi i ((kx + sx/2) x / Lx + (ky + sy/2) y / Ly)) with the
-    half shifts of the antiperiodic cycles; the field is scaled so its sup
-    equals ``amplitude``.
+    Modes are exp(2 pi i ((kx + sx/2) x / Lx + (ky + sy/2) y / Ly)) for the
+    (kx, ky) of ``DEFAULT_MODES``, with the half shifts of the antiperiodic
+    cycles; the field is scaled so its sup equals ``amplitude``.
     """
     if chart.kind != TORUS:
         raise ConfigurationError("mode fields are defined on torus charts")
     sx, sy = chart.spin_shifts
     Lx, Ly = chart.params
-    kx, ky = np.array(modes, dtype=float).reshape(-1, 2).T[:, :, None]
+    kx, ky = np.array(DEFAULT_MODES, dtype=float).T[:, :, None]
     e_x = np.exp(2j * np.pi * (kx + sx) * chart.xs / Lx)
     e_y = np.exp(2j * np.pi * (ky + sy) * chart.ys / Ly)
     v = np.stack(plane_wave_sum(SplitMix64(seed), e_x, e_y, 2 * n), axis=-1)

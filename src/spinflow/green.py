@@ -16,10 +16,13 @@ the shifted spectral symbol: the FFT route is the spectral inverse
 kernel node by node as its independent oracle.  Disk and rect charts use the
 free-space kernel and require compact support away from the chart edge; there
 the direct route sums the linear convolution node by node, and the FFT route
-(``_linear_conv_fft``; ``blowup.local_energy_grid`` pads the same way) keeps
-the n-node output window of a circular convolution of size
-``next_fast_len(2n-1)`` per axis.  That is exact: wrap-around only reaches
-linear indices of at least 2n-1, past the window.
+multiplies transforms by the one pair ``conv_transform``/``conv_window``,
+which ``blowup.local_energy_grid`` uses as well.  On the torus the pair is
+the circular transform of the whole grid.  Elsewhere it zero-pads to
+``next_fast_len(2n-1)`` per axis and keeps the n-node output window
+[n-1, 2n-1) of the circular convolution.  That is exact: wrap-around only
+reaches linear indices of at least 2n-1, past the window.  The two kernel
+transforms are cached per chart.
 
 Both routes evaluate the same sums, so they must agree to roundoff.
 
@@ -66,7 +69,7 @@ class GreenKernel:
         g2 multiplies f1 to produce w2; g1 multiplies f2 to produce w1.
         Offset (0, 0) sits at index (ny-1, nx-1).
         """
-        dx, dy = _offset_grid(chart)
+        dx, dy = offset_grid(chart)
         Z = dx + 1j * dy
         r = np.abs(Z)
         cell = chart.hx * chart.hy
@@ -86,7 +89,7 @@ def _support_margin_check(f: SpinorField):
         raise PreconditionError("source must vanish within 2 cells of the chart edge")
 
 
-def _offset_grid(chart: GridChart):
+def offset_grid(chart: GridChart):
     """Node offsets (dx, dy) between any two nodes, broadcastable to shape
     (2ny-1, 2nx-1), with offset (0, 0) at index (ny-1, nx-1)."""
     dx = (np.arange(-(chart.nx - 1), chart.nx) * chart.hx)[None, :]
@@ -94,19 +97,26 @@ def _offset_grid(chart: GridChart):
     return dx, dy
 
 
-def _padded_shape(ny: int, nx: int) -> tuple:
-    """Transform size of ``_linear_conv_fft`` for an (ny, nx) node grid."""
-    return scipy.fft.next_fast_len(2 * ny - 1), scipy.fft.next_fast_len(2 * nx - 1)
+def conv_transform(chart: GridChart, a: np.ndarray) -> np.ndarray:
+    """Forward half of the convolution pair: the circular transform of a node
+    grid on the torus, else the transform of a node or offset grid
+    (``offset_grid``) zero-padded to ``next_fast_len(2n-1)`` per axis."""
+    if chart.kind == TORUS:
+        return np.fft.fft2(a)
+    shape = (scipy.fft.next_fast_len(2 * chart.ny - 1),
+             scipy.fft.next_fast_len(2 * chart.nx - 1))
+    return scipy.fft.fft2(a, shape)
 
 
-def _linear_conv_fft(kernel_off: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """out[t] = sum_s kernel_off[t - s + (n-1)] src[s] for an offset-grid kernel
-    (see ``_offset_grid``): the window [n-1, 2n-1) of a circular convolution
-    of size at least 2n-1, which the wrap-around cannot reach."""
-    ny, nx = src.shape
-    shape = _padded_shape(ny, nx)
-    full = scipy.fft.ifft2(scipy.fft.fft2(kernel_off, shape) * scipy.fft.fft2(src, shape))
-    return full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
+def conv_window(chart: GridChart, spectrum: np.ndarray) -> np.ndarray:
+    """Inverse half of the convolution pair: the whole grid on the torus, else
+    the window [n-1, 2n-1) per axis, where the product of an offset-grid
+    transform and a node-grid transform holds
+    out[t] = sum_s kernel[t - s + (n-1)] src[s]."""
+    if chart.kind == TORUS:
+        return np.fft.ifft2(spectrum)
+    ny, nx = chart.ny, chart.nx
+    return scipy.fft.ifft2(spectrum)[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
 
 
 def _linear_conv_direct(kernel_off: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -133,8 +143,9 @@ def _circular_conv_direct(kernel_grid: np.ndarray, src: np.ndarray) -> np.ndarra
 
 
 @lru_cache(maxsize=_CACHE_CHARTS)
-def _free_kernel_grids(chart: GridChart):
-    return GreenKernel().scalar_offset_grids(chart)
+def _free_kernel_ffts(chart: GridChart):
+    """``conv_transform`` of both free-space kernel grids, once per chart."""
+    return tuple(conv_transform(chart, g) for g in GreenKernel().scalar_offset_grids(chart))
 
 
 def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
@@ -162,11 +173,17 @@ def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
     if chart.kind not in (DISK, RECT):
         raise DomainError(f"green_convolve does not support {chart.kind!r} charts")
     _support_margin_check(f)
-    g1, g2 = _free_kernel_grids(chart)
-    conv = _linear_conv_fft if method == "fft" else _linear_conv_direct
+    kernels = (GreenKernel().scalar_offset_grids(chart) if method == "direct"
+               else _free_kernel_ffts(chart))
     for i in range(f.n):
-        out[:, :, i, 0] = conv(g1, f.values[:, :, i, 1])
-        out[:, :, i, 1] = conv(g2, f.values[:, :, i, 0])
+        for slot, kernel in enumerate(kernels):     # w1 <- f2 by g1, w2 <- f1 by g2
+            src = f.values[:, :, i, 1 - slot]
+            if method == "direct":
+                out[:, :, i, slot] = _linear_conv_direct(kernel, src)
+            else:
+                # kernel first: complex products are not bitwise commutative
+                spec = conv_transform(chart, src)
+                out[:, :, i, slot] = conv_window(chart, np.multiply(kernel, spec, out=spec))
     if chart.kind == DISK:
         out[~chart.active] = 0.0
     return SpinorField(chart, out, f.tag)

@@ -7,7 +7,9 @@ Variants:
   ``(ny, nx, n, n, n, n)``.  Both kinds go through one contraction: ``H``
   with the pairing matrix ``<psi^j, psi^k>`` gives a per-node ``(n, n)``
   matrix, which multiplies ``psi`` node by node.
-* ``ScalarH``        n = 1 special case  rhs = H |psi|^2 psi.
+* ``ScalarH``        n = 1 special case  rhs = H |psi|^2 psi: a
+  ``GeneralCubic`` whose per-node tensor is the scalar H, so the mean
+  curvature equation runs through the same contraction.
 * ``CurvatureCubic`` rhs^i = -(1/3) R^i_{jkl} <psi^j, psi^k> psi^l: a
   ``GeneralCubic`` that checks the curvature symmetries of a constant ``R``
   and stores ``-R/3`` as its ``.tensor``.
@@ -18,8 +20,6 @@ Variants:
       nil:  U = V = -H |psi|^2 - (i/2) (|psi_1|^2 - |psi_2|^2)
       sl2:  U = -H |psi|^2 - i ((3/2)|psi_2|^2 - |psi_1|^2)
             V = -H |psi|^2 - i (|psi_2|^2 - (3/2)|psi_1|^2)
-
-  or custom callables U(psi_values), V(psi_values).
 
 All variants are 3-homogeneous in psi.  ``linearize`` returns the directional
 derivative of the right-hand side; it is real-linear but not complex-linear
@@ -72,11 +72,6 @@ def _gradient_sup(coeffs: np.ndarray, chart: GridChart) -> float:
     return float(np.sqrt(g2[chart.active]).max())
 
 
-def _scalar_bounds(h, chart: GridChart):
-    arr = _as_node_scalar(h, chart)
-    return float(np.abs(arr[chart.active]).max()), _gradient_sup(arr, chart)
-
-
 def _contract(t: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_jkl t^i_jkl P^jk v^l per node: one (n, n) matrix M per node (one BLAS
     GEMM over jk for a constant tensor, an einsum for a per-node one), then M v."""
@@ -106,30 +101,6 @@ class ReactionSpec:
         if psi.n != self.n:
             raise ConfigurationError(
                 f"{type(self).__name__} expects n={self.n}, field has n={psi.n}")
-
-
-class ScalarH(ReactionSpec):
-    def __init__(self, h):
-        self.h = h
-
-    def rhs(self, psi: SpinorField) -> SpinorField:
-        self._check(psi)
-        H = _as_node_scalar(self.h, psi.chart)
-        v = psi.values
-        dens = np.sum(v.real ** 2 + v.imag ** 2, axis=(2, 3))
-        return SpinorField(psi.chart, (H * dens)[:, :, None, None] * v, psi.tag)
-
-    def linearize(self, psi: SpinorField, delta: SpinorField) -> SpinorField:
-        self._check(psi)
-        H = _as_node_scalar(self.h, psi.chart)
-        v, d = psi.values, delta.values
-        dens = np.sum(v.real ** 2 + v.imag ** 2, axis=(2, 3))
-        ddens = 2.0 * np.sum(d.real * v.real + d.imag * v.imag, axis=(2, 3))
-        out = (H * dens)[:, :, None, None] * d + (H * ddens)[:, :, None, None] * v
-        return SpinorField(psi.chart, out, psi.tag)
-
-    def coefficient_bounds(self, chart: GridChart) -> tuple:
-        return _scalar_bounds(self.h, chart)
 
 
 class GeneralCubic(ReactionSpec):
@@ -177,6 +148,19 @@ class GeneralCubic(ReactionSpec):
         return float(np.abs(t[chart.active]).max()), _gradient_sup(t, chart)
 
 
+class ScalarH(GeneralCubic):
+    """Scalar mean curvature H: a ``GeneralCubic`` with the per-node tensor H
+    (a number, a (ny, nx) array or a callable H(X, Y)), built on each chart."""
+
+    n = 1
+
+    def __init__(self, h):
+        self.h = h
+
+    def _tensor_on(self, chart: GridChart) -> np.ndarray:
+        return _as_node_scalar(self.h, chart)[:, :, None, None, None, None]
+
+
 class CurvatureCubic(GeneralCubic):
     """Constant curvature tensor R; a ``GeneralCubic`` with tensor -R/3."""
 
@@ -208,18 +192,11 @@ class CurvatureCubic(GeneralCubic):
 class ChiralUV(ReactionSpec):
     """rhs = [U(psi) Gamma_+ + V(psi) Gamma_-] psi with Gamma_+ = diag(0, 1)."""
 
-    PRESETS = ("su2", "nil", "sl2", "custom")
-
-    def __init__(self, preset: str, h=0.0, u=None, v=None, h0: float | None = None):
-        if preset not in self.PRESETS:
+    def __init__(self, preset: str, h=0.0):
+        if preset not in CHIRAL_ALPHA:
             raise ConfigurationError(f"unknown chiral preset {preset!r}")
-        if preset == "custom" and (u is None or v is None):
-            raise ConfigurationError("custom chiral form needs both U and V callables")
         self.preset = preset
         self.h = h
-        self.u = u
-        self.v = v
-        self._h0_override = h0
 
     def _law(self, H, m1, m2):
         """Preset (U, V) from the slot densities m1 = |psi_1|^2, m2 = |psi_2|^2.
@@ -238,8 +215,6 @@ class ChiralUV(ReactionSpec):
 
     def _uv(self, psi: SpinorField):
         v = psi.values
-        if self.preset == "custom":
-            return np.asarray(self.u(v), complex), np.asarray(self.v(v), complex)
         m1 = v.real[..., 0, 0] ** 2 + v.imag[..., 0, 0] ** 2
         m2 = v.real[..., 0, 1] ** 2 + v.imag[..., 0, 1] ** 2
         return self._law(_as_node_scalar(self.h, psi.chart), m1, m2)
@@ -255,14 +230,6 @@ class ChiralUV(ReactionSpec):
     def linearize(self, psi: SpinorField, delta: SpinorField) -> SpinorField:
         self._check(psi)
         v, d = psi.values, delta.values
-        if self.preset == "custom":
-            # Symmetric-difference fallback; custom U, V carry no derivative rule.
-            scale = max(float(np.abs(v).max()), 1.0)
-            eps = 1e-6 * scale / max(float(np.abs(d).max()), 1e-30)
-            plus = self.rhs(SpinorField(psi.chart, v + eps * d, psi.tag))
-            minus = self.rhs(SpinorField(psi.chart, v - eps * d, psi.tag))
-            return SpinorField(psi.chart, (plus.values - minus.values) / (2 * eps),
-                               psi.tag)
         H = _as_node_scalar(self.h, psi.chart)
         re = lambda s: 2.0 * (d.real[..., 0, s] * v.real[..., 0, s]
                               + d.imag[..., 0, s] * v.imag[..., 0, s])
@@ -274,10 +241,5 @@ class ChiralUV(ReactionSpec):
         return SpinorField(psi.chart, out, psi.tag)
 
     def coefficient_bounds(self, chart: GridChart) -> tuple:
-        if self.preset == "custom":
-            if self._h0_override is None:
-                raise ConfigurationError(
-                    "custom chiral forms need an explicit h0 bound")
-            return float(self._h0_override), 0.0
-        h0, h1 = _scalar_bounds(self.h, chart)
+        h0, h1 = ScalarH(self.h).coefficient_bounds(chart)
         return h0 + CHIRAL_ALPHA[self.preset], h1

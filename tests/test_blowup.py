@@ -171,7 +171,7 @@ class TestExtractBubble:
         seq, _, _ = single_bubble_sequence(torus128, (0.75, 0.75))
         pts = blowup_set(seq, 1.0, RADII)
         ext = extract_bubble(seq, pts[0], 1.0, search_radius=0.2)
-        tc = ext.target_chart
+        tc = ext.limit.chart
         d2 = _min_image_dist2(tc, 0.0, 0.0)
         vals = [energy(ext.limit, (d2 <= R * R) & tc.active) for R in (1.0, 2.0, 3.5)]
         assert vals[0] < vals[1] < vals[2]

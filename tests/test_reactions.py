@@ -86,27 +86,10 @@ class TestChiralPresets:
         V = -H * dens - 1j * (abs(b) ** 2 - 1.5 * abs(a) ** 2)
         np.testing.assert_allclose(out.values[0, 0, 0], [V * a, U * b], rtol=1e-14)
 
-    def test_custom_equal_uv_is_scalar_multiplication(self, torus_pp):
-        psi = random_field(torus_pp, seed=4)
-
-        def u(vals):
-            return np.sum(np.abs(vals) ** 2, axis=(2, 3)) * (0.3 - 0.7j)
-
-        out = ChiralUV("custom", u=u, v=u, h0=1.0).rhs(psi)
-        scal = u(psi.values)
-        np.testing.assert_allclose(out.values,
-                                   scal[..., None, None] * psi.values, rtol=1e-14)
-
     def test_preset_alpha_offsets(self, torus_pp):
         for preset, alpha in (("su2", 1.0), ("nil", 0.5), ("sl2", 1.5)):
             h0, _ = ChiralUV(preset, h=0.8).coefficient_bounds(torus_pp)
             assert h0 == pytest.approx(0.8 + alpha)
-
-    def test_custom_needs_h0(self, torus_pp):
-        spec = ChiralUV("custom", u=lambda v: 0 * v[..., 0, 0],
-                        v=lambda v: 0 * v[..., 0, 0])
-        with pytest.raises(ConfigurationError):
-            spec.coefficient_bounds(torus_pp)
 
 
 class TestGeneralCubic:

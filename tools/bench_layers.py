@@ -1,7 +1,7 @@
 """Per-layer timings of the Dirac operators, the torus solve path, the disk
 Green layer and the analysis layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_11.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_12.json
 
 On an AA torus with n = 2 at 128^2, 192^2 and 256^2 it times
 ``dirac.dirac_apply`` in FD and in spectral mode and
@@ -27,11 +27,13 @@ On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
 * ``green.disk_solve`` cold: each timed call follows
   ``_disk_factor.cache_clear()``, so it pays for the SuperLU factor;
 * ``green.disk_solve`` warm, with the factor cached;
-* ``green.green_convolve`` on its FFT route.
+* ``green.green_convolve`` on its FFT route;
+* ``ScalarH(0.4).rhs`` and ``ScalarH(0.4).linearize``.
 
 The source is ``windowed_mode_field`` of the seed, which vanishes near the
 edge as ``green_convolve`` requires; the disk solve adds the ring values of
-(e^{ix}, 0) as its boundary trace.
+(e^{ix}, 0) as its boundary trace.  The linearization direction is
+``windowed_mode_field`` of the next seed.
 
 The analysis layers run on inputs shaped like those of the ``analyze``
 benchmark workload, built with ``spinflow.fields``.  On a PP torus at 128^2
@@ -46,10 +48,13 @@ On the square [-1, 1]^2 at 129 and 257 nodes with ``enneper_field`` of scale
 0.9 it times ``weierstrass.integrate_surface`` and the CLI's OBJ writer
 ``cli._write_obj`` (into a temporary directory).
 
-The results go under ``runs[<label>]`` of the output JSON with the machine:
-CPU count, numpy and scipy versions and the BLAS thread variables.  Labels
-already in the file are kept, so two source trees can be measured
-into one file by pointing ``PYTHONPATH`` at each tree's ``src`` in turn.
+Each invocation appends one run, with the machine (CPU count, numpy and
+scipy versions, BLAS thread variables), to the list ``runs[<label>]`` of the
+output JSON, keeping every run already in the file.  Two source trees are
+compared by alternating invocations with ``PYTHONPATH`` at each tree's
+``src``, so a slow phase of a shared machine falls on both.  After each
+invocation the medians across all runs of that label are printed, each with
+the range of the per-run medians.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from spinflow.dirac import dirac_apply, dirac_inverse_spectral
 from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubble,
                              torus_mode_field)
 from spinflow.green import _disk_factor, disk_solve, green_convolve, windowed_mode_field
-from spinflow.reactions import _contract
+from spinflow.reactions import ScalarH, _contract
 from spinflow.rng import SplitMix64
 from spinflow.solve import picard_solve
 from spinflow.spinors import component_inners
@@ -160,11 +165,15 @@ def measure_disk(nx: int, repeats: int) -> dict:
     X, _ = chart.grid()
     trace = np.zeros((bn.shape[0], 1, 2), np.complex128)
     trace[:, 0, 0] = np.exp(1j * X[bn[:, 0], bn[:, 1]])
+    delta = windowed_mode_field(chart, SplitMix64(SEED + 1))
+    spec = ScalarH(0.4)
     return {
         "green.disk_solve.cold": _time(lambda: disk_solve(f, trace), repeats,
                                        before=_disk_factor.cache_clear),
         "green.disk_solve.warm": _time(lambda: disk_solve(f, trace), repeats),
         "green.green_convolve.fft": _time(lambda: green_convolve(f), repeats),
+        "reactions.ScalarH.rhs": _time(lambda: spec.rhs(f), repeats),
+        "reactions.ScalarH.linearize": _time(lambda: spec.linearize(f, delta), repeats),
     }
 
 
@@ -205,7 +214,8 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc["runs"][args.label] = {
+    runs = doc["runs"].setdefault(args.label, [])
+    runs.append({
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "threads": {k: os.environ.get(k) for k in THREAD_VARS}},
@@ -222,16 +232,18 @@ def main(argv=None) -> int:
         "surface": {"chart": "rect [-1, 1]^2", "n": 1,
                     "sizes": {f"{s}x{s}": measure_surface(s, args.repeats)
                               for s in SURFACE_SIZES}},
-    }
+    })
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for chart in ("dirac", "torus", "disk", "blowup", "surface"):
-        for size, layers in doc["runs"][args.label][chart]["sizes"].items():
+        for size, layers in runs[-1][chart]["sizes"].items():
             for name, t in layers.items():
+                meds = [run[chart]["sizes"][size][name]["median_s"] for run in runs]
                 peak = f" peak {t['peak_bytes'] / 2 ** 20:.1f} MB" if "peak_bytes" in t else ""
                 sys.stdout.write(f"{args.label} {chart} {size} {name}: "
-                                 f"{1e3 * t['median_s']:.2f} ms "
-                                 f"[{1e3 * t['min_s']:.2f}-{1e3 * t['max_s']:.2f}]{peak}\n")
+                                 f"{1e3 * statistics.median(meds):.2f} ms "
+                                 f"[{1e3 * min(meds):.2f}-{1e3 * max(meds):.2f}] "
+                                 f"over {len(meds)} runs{peak}\n")
     return 0
 
 
