@@ -4,8 +4,9 @@ For a sequence of fields, a node belongs to the blow-up set when the lower
 envelope of its local energies stays above the threshold for every radius in
 the schedule.  The liminf over an infinite sequence is realized as the min
 over the last half of the finite sequence; the limit field is the last
-element.  Ties anywhere resolve to the lexicographically smallest (iy, ix)
-node index; envelope values that differ only by roundoff tie.
+element.  A blow-up point is the node nearest the centroid of its cluster's
+top plateau (envelope values that differ only by roundoff tie); other ties
+resolve to the lexicographically smallest (iy, ix) node index.
 """
 
 from __future__ import annotations
@@ -96,8 +97,10 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
 
     Qualifying nodes cluster around each concentration point; each connected
     cluster (8-neighbours, wrapping across the seams on the torus) is reported
-    once, represented by its strongest node: the smallest node index whose
-    envelope is within a relative 1e-12 of the cluster's maximum.
+    once.  Its top plateau is the nodes whose envelope is within a relative
+    1e-12 of the cluster's maximum, and it is represented by the plateau node
+    nearest the plateau's centroid (min-image offsets from the plateau's first
+    node); a tie goes to the first node in C order, so roundoff picks no node.
     Output is ordered lexicographically by node index.
     """
     if epsilon <= 0:
@@ -125,9 +128,11 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
     for lab in np.unique(labels[labels > 0]):
         nodes = np.argwhere(labels == lab)
         vals = envelope[nodes[:, 0], nodes[:, 1]]
-        # first node in C order on the top plateau, so roundoff picks no node
-        best = nodes[np.argmax(vals >= vals.max() * (1.0 - 1e-12))]
-        j, i = int(best[0]), int(best[1])
+        plateau = nodes[vals >= vals.max() * (1.0 - 1e-12)]
+        dx, dy = chart.min_image_offset(chart.xs[plateau[0, 1]], chart.ys[plateau[0, 0]])
+        ox, oy = dx[0, plateau[:, 1]], dy[plateau[:, 0], 0]
+        d2 = (ox - ox.mean()) ** 2 + (oy - oy.mean()) ** 2
+        j, i = (int(k) for k in plateau[np.argmin(d2)])
         points.append(BlowupPoint((j, i), (float(chart.xs[i]), float(chart.ys[j])),
                                   radii, float(envelope[j, i])))
     points.sort(key=lambda p: p.node)

@@ -46,7 +46,7 @@ from .dirac import _CACHE_CHARTS, diff_x, diff_y, dirac_inverse_spectral, torus_
 from .errors import ConfigurationError, DomainError, PreconditionError, SolverError
 from .fields import plane_wave_sum, smoothstep7
 from .rng import SplitMix64
-from .spinors import scalar_lp_norm
+from .spinors import lp_norm, scalar_lp_norm
 
 
 class GreenKernel:
@@ -404,8 +404,7 @@ def estimate_ratio(p: float, trials: int, refinements, seed: int = 0) -> dict:
         for t in range(trials):
             stream = SplitMix64(trial_seeds[t])  # same continuum f per level
             f = windowed_mode_field(chart, stream)
-            fnorm = scalar_lp_norm(np.sqrt(np.sum(np.abs(f.values) ** 2, axis=(2, 3))),
-                                   chart, p)
+            fnorm = lp_norm(f, p)
             if fnorm == 0.0:
                 continue  # degenerate 0/0 trial
             w = green_convolve(f)

@@ -4,9 +4,9 @@ Variants:
 
 * ``GeneralCubic``   rhs^i = H^i_{jkl} <psi^j, psi^k> psi^l with a real
   rank-4 coefficient tensor, constant ``(n, n, n, n)`` or per-node
-  ``(ny, nx, n, n, n, n)``.  Both kinds go through one contraction: ``H``
-  with the pairing matrix ``<psi^j, psi^k>`` gives a per-node ``(n, n)``
-  matrix, which multiplies ``psi`` node by node.
+  ``(ny, nx, n, n, n, n)``.  Both go through one contraction and no BLAS:
+  ``spinors.node_product`` of ``H`` and the pairing matrix ``<psi^j, psi^k>``
+  gives a per-node ``(n, n)`` matrix, and a second one multiplies ``psi``.
 * ``ScalarH``        n = 1 special case  rhs = H |psi|^2 psi: a
   ``GeneralCubic`` whose per-node tensor is the scalar H, so the mean
   curvature equation runs through the same contraction.
@@ -43,7 +43,7 @@ import numpy as np
 from .charts import TORUS, GridChart, SpinorField
 from .dirac import diff_x, diff_y
 from .errors import ConfigurationError
-from .spinors import component_inners
+from .spinors import component_inners, node_product, pairing
 
 CHIRAL_ALPHA = {"su2": 1.0, "nil": 0.5, "sl2": 1.5}
 
@@ -73,13 +73,11 @@ def _gradient_sup(coeffs: np.ndarray, chart: GridChart) -> float:
 
 
 def _contract(t: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_jkl t^i_jkl P^jk v^l per node: one (n, n) matrix M per node (one BLAS
-    GEMM over jk for a constant tensor, an einsum for a per-node one), then M v."""
-    if t.ndim == 4:
-        M = np.tensordot(P, t, axes=([-2, -1], [1, 2]))
-    else:
-        M = np.einsum("...ijkl,...jk->...il", t, P)
-    return np.einsum("...il,...ls->...is", M, v)
+    """sum_jkl t^i_jkl P^jk v^l per node for a constant or per-node t, no GEMM:
+    M^i_l = t^i_(jk)l P^(jk) with i a leading axis, then M v, by ``node_product``."""
+    M = node_product(P.reshape(P.shape[:-2] + (1, 1, -1)),
+                     t.reshape(t.shape[:-3] + (-1, t.shape[-1])))
+    return node_product(M[..., 0, :], v)
 
 
 class ReactionSpec:
@@ -106,23 +104,16 @@ class ReactionSpec:
 class GeneralCubic(ReactionSpec):
     def __init__(self, tensor):
         t = np.asarray(tensor, dtype=float)
-        if t.ndim == 4:
-            if len(set(t.shape)) != 1:
-                raise ConfigurationError("cubic tensor must be square in all four indices")
-            self.n = t.shape[0]
-        elif t.ndim == 6:
-            if len(set(t.shape[2:])) != 1:
-                raise ConfigurationError("per-node tensor must be square in the index axes")
-            self.n = t.shape[2]
-        else:
+        if t.ndim not in (4, 6):
             raise ConfigurationError("cubic tensor must have 4 (constant) or "
                                      "6 (per-node) axes")
+        if len(set(t.shape[-4:])) != 1:
+            raise ConfigurationError("cubic tensor must be square in its four index axes")
+        self.n = t.shape[-1]
         self.tensor = t
 
     def _tensor_on(self, chart: GridChart) -> np.ndarray:
-        if self.tensor.ndim == 4:
-            return self.tensor
-        if self.tensor.shape[:2] != (chart.ny, chart.nx):
+        if self.tensor.shape[:-4] not in ((), (chart.ny, chart.nx)):
             raise ConfigurationError("per-node tensor does not match the chart grid")
         return self.tensor
 
@@ -136,8 +127,7 @@ class GeneralCubic(ReactionSpec):
         self._check(psi)
         t = self._tensor_on(psi.chart)
         v, d = psi.values, delta.values
-        dP = (np.einsum("yxjs,yxks->yxjk", d, np.conj(v))
-              + np.einsum("yxjs,yxks->yxjk", v, np.conj(d)))
+        dP = pairing(d, v) + pairing(v, d)
         out = _contract(t, dP, v) + _contract(t, component_inners(psi), d)
         return SpinorField(psi.chart, out, psi.tag)
 

@@ -60,10 +60,22 @@ class CliffordRep:
         return float(max(defects))
 
 
+def pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a^j, b^k> per node of two (ny, nx, n, 2) field arrays: (ny, nx, n, n)."""
+    return np.einsum("yxjs,yxks->yxjk", a, np.conj(b))
+
+
+def node_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_l a[..., i, l] b[..., l, s], leading axes broadcast, l unrolled: no BLAS."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for l in range(1, a.shape[-1]):
+        out += a[..., :, l, None] * b[..., None, l, :]
+    return out
+
+
 def apply_matrix(mat: np.ndarray, psi: SpinorField) -> SpinorField:
     """Apply a 2x2 matrix blockwise to every component of every node."""
-    out = np.einsum("ab,yxnb->yxna", mat, psi.values)
-    return SpinorField(psi.chart, out, psi.tag)
+    return SpinorField(psi.chart, node_product(psi.values, mat.T), psi.tag)
 
 
 def clifford_multiply(alpha: int, psi: SpinorField) -> SpinorField:
@@ -82,8 +94,7 @@ def chirality_project(sign: int, psi: SpinorField) -> SpinorField:
 
 def component_inners(psi: SpinorField) -> np.ndarray:
     """Matrix of products <psi^j, psi^k>, shape (ny, nx, n, n)."""
-    v = psi.values
-    return np.einsum("yxjs,yxks->yxjk", v, np.conj(v))
+    return pairing(psi.values, psi.values)
 
 
 def pointwise_norm(psi: SpinorField) -> np.ndarray:

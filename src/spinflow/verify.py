@@ -21,8 +21,7 @@ from .config import RunConfig
 from .conformal import rescale, sphere_transfer, to_cylinder
 from .fields import compact_bump_field, torus_mode_field
 from .solve import smallness
-from .spinors import (CliffordRep, chirality_project, clifford_multiply, energy,
-                      scalar_lp_norm)
+from .spinors import CliffordRep, chirality_project, clifford_multiply, energy, lp_norm
 from .weierstrass import null_identity_defect
 
 
@@ -119,9 +118,7 @@ def verify_report(cfg: RunConfig, seed: int) -> dict:
         psi_c = compact_bump_field(ch)
         f = op(psi_c, "fd")
         w = green.green_convolve(f, "fft")
-        diff = np.sqrt(np.sum(np.abs(w.values - psi_c.values) ** 2, axis=(2, 3)))
-        ref = np.sqrt(np.sum(np.abs(psi_c.values) ** 2, axis=(2, 3)))
-        rec_errors.append(scalar_lp_norm(diff, ch, 2) / scalar_lp_norm(ref, ch, 2))
+        rec_errors.append(lp_norm(w - psi_c, 2) / lp_norm(psi_c, 2))
     ok, factors = _rate_check(rec_errors)
     add("green_roundtrip_rate", ok, factors, [3.0, 5.0], detail=rec_errors)
 

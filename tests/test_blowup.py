@@ -117,6 +117,18 @@ class TestBlowupSet:
             [p] = blowup_set(rolled, eps, radii)
             assert p.node == (base.node[0] + shift[0], base.node[1] + shift[1])
 
+    @pytest.mark.parametrize("radii", [(0.3, 0.25), (0.12, 0.1, 0.08)])
+    def test_planted_bubble_reported_at_its_centre(self, radii):
+        # With radii that cover the whole bubble, every node near the centre
+        # ties on the envelope; the reported node is the plateau's middle,
+        # not its first node in C order.
+        chart = GridChart.disk(65)
+        center = (0.1, -0.05)
+        seq = [SpinorField(chart, planted_bubble(chart, center, lam, 2.0))
+               for lam in np.geomspace(0.2, 0.06, 6)]
+        [p] = blowup_set(seq, 0.5, radii)
+        assert np.hypot(p.location[0] - center[0], p.location[1] - center[1]) <= chart.h
+
     def test_local_energy_grid_matches_direct_sum(self, torus128):
         seq, _, _ = single_bubble_sequence(torus128, (0.5, 0.5), length=4)
         psi = seq[-1]

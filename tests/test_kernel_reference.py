@@ -3,9 +3,10 @@ the implementations they replaced.
 
 Each reference is the earlier code kept verbatim in spirit: the three-operand
 einsums of ``GeneralCubic`` for constant and per-node tensors, the per-node
-einsum and batched matmul that ``_contract`` used before its GEMM, the FFT linear
-convolution padded to 3n-2, and the per-mode full-grid exponential loops of
-both seeded field builders.  Results must agree to 1e-13 of their maximum;
+einsum and batched matmul that ``_contract`` used before its two node products,
+the pairing and 2x2 block einsums behind ``pairing`` and ``apply_matrix``, the
+FFT linear convolution padded to 3n-2, and the per-mode full-grid exponential
+loops of both seeded field builders.  Results must agree to 1e-13 of their maximum;
 ``lp_norm`` must equal its earlier quadrature bit for bit, and so must
 ``blowup_set`` and ``extract_bubble`` against the loops that called
 ``local_energy_grid`` once per field, radius and bisection step, ``ScalarH``
@@ -28,7 +29,9 @@ from spinflow.green import (GreenKernel, _free_kernel_ffts, conv_transform, conv
                             green_convolve, windowed_mode_field)
 from spinflow.reactions import CurvatureCubic, GeneralCubic, ScalarH, _contract, _gradient_sup
 from spinflow.rng import SplitMix64
-from spinflow.spinors import _region_mask, component_inners, lp_norm, pointwise_norm
+from spinflow.spinors import (PROJ_MINUS, PROJ_PLUS, SIGMA1, SIGMA2, _region_mask,
+                              chirality_project, clifford_multiply, component_inners,
+                              lp_norm, pairing, pointwise_norm)
 
 from conftest import random_field, zero_outside
 
@@ -88,20 +91,49 @@ def _ref_two_step_contract(t, P, v):
     return np.einsum("...ijkl,...jk->...il", t, P) @ v
 
 
-@pytest.mark.parametrize("n,per_node", [(1, False), (2, False), (3, False), (2, True)],
-                         ids=["n1", "n2", "n3", "n2-per-node"])
+@pytest.mark.parametrize("n,per_node", [(1, False), (2, False), (3, False), (2, True),
+                                        (1, True), (3, True)],
+                         ids=["n1", "n2", "n3", "n2-per-node", "n1-per-node", "n3-per-node"])
 def test_contract_against_einsum_matmul(n, per_node):
-    # _contract (GEMM for a constant tensor) against the per-node einsum and
-    # batched matmul it replaced; P as the pairing matrix, as a general complex
-    # matrix, and as a non-contiguous view
+    # _contract (two node products, one path for constant and per-node
+    # tensors) against the per-node einsum and batched matmul it replaced; P as
+    # the pairing matrix, as a general complex matrix, and as a non-contiguous
+    # view; v contiguous and strided
     chart = GridChart.torus(24, 20, spin_structure="AA")
     rng = np.random.default_rng(n)
     psi = random_field(chart, n=n, seed=n)
     t = rng.standard_normal(((chart.ny, chart.nx) if per_node else ()) + (n,) * 4)
     general = rng.standard_normal((chart.ny, chart.nx, n, n)) \
         + 1j * rng.standard_normal((chart.ny, chart.nx, n, n))
-    for P in (component_inners(psi), general, np.swapaxes(general, -1, -2)):
-        _close(_contract(t, P, psi.values), _ref_two_step_contract(t, P, psi.values))
+    wide = np.zeros((chart.ny, chart.nx, n, 4), np.complex128)
+    wide[..., ::2] = psi.values
+    for v in (psi.values, wide[..., ::2]):
+        for P in (component_inners(psi), general, np.swapaxes(general, -1, -2)):
+            _close(_contract(t, P, v), _ref_two_step_contract(t, P, v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pairing_against_einsum(n):
+    # both argument orders, on contiguous arrays and on strided views
+    chart = GridChart.torus(24, 20, spin_structure="PA")
+    v = random_field(chart, n=n, seed=n).values
+    d = random_field(chart, n=n, seed=n + 10).values
+    tall = np.zeros((2 * chart.ny, chart.nx, n, 2), np.complex128)
+    tall[::2] = d
+    for dd, vv in ((d, v), (tall[::2], v), (d[::-1, ::-1], v[::-1, ::-1])):
+        for a, b in ((dd, vv), (vv, dd)):
+            _close(pairing(a, b), np.einsum("yxjs,yxks->yxjk", a, np.conj(b)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_and_chirality_against_einsum(n):
+    # the 2x2 blocks hold only 0, +-1 and +-i, so the node product must equal
+    # the block einsum exactly (up to the sign of a zero)
+    psi = random_field(GridChart.torus(24, 20, spin_structure="AP"), n=n, seed=5 + n)
+    for mat, out in ((SIGMA1, clifford_multiply(1, psi)), (SIGMA2, clifford_multiply(2, psi)),
+                     (PROJ_PLUS, chirality_project(+1, psi)),
+                     (PROJ_MINUS, chirality_project(-1, psi))):
+        assert np.array_equal(out.values, np.einsum("ab,yxnb->yxna", mat, psi.values))
 
 
 def _ref_scalar_rhs(H, psi):
@@ -326,7 +358,14 @@ def _ref_blowup_nodes(seq, eps, radii):
     for lab in np.unique(labels[labels > 0]):
         nodes = np.argwhere(labels == lab)
         vals = envelope[nodes[:, 0], nodes[:, 1]]
-        j, i = nodes[np.argmax(vals >= vals.max() * (1.0 - 1e-12))]
+        plateau = nodes[vals >= vals.max() * (1.0 - 1e-12)]
+        # the plateau node nearest its centroid, offsets taken (min-image)
+        # from its first node; a tie goes to the first in C order
+        j0, i0 = plateau[0]
+        dx, dy = chart.min_image_offset(chart.xs[i0], chart.ys[j0])
+        offs = np.array([(dx[0, i], dy[j, 0]) for j, i in plateau])
+        cx, cy = offs[:, 0].mean(), offs[:, 1].mean()
+        j, i = plateau[np.argmin([(x - cx) ** 2 + (y - cy) ** 2 for x, y in offs])]
         out.append(((int(j), int(i)), float(envelope[j, i])))
     return sorted(out)
 

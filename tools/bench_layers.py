@@ -1,7 +1,7 @@
 """Per-layer timings of the Dirac operators, the torus solve path, the disk
 Green layer and the analysis layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_12.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_14.json
 
 On an AA torus with n = 2 at 128^2, 192^2 and 256^2 it times
 ``dirac.dirac_apply`` in FD and in spectral mode and
@@ -18,9 +18,10 @@ On the same tori it times:
 
 The reaction is the ``general_cubic`` tensor the CLI builds for
 ``reaction.h = 1.0``, the same one the ``torus-solve`` benchmark workload
-solves.  Each entry is the median of ``--repeats`` timed calls (at least 5)
-with the min and max, after one untimed warm-up call; the Picard entry also
-records its sweep count.
+solves.  Each entry is the median wall time of ``--repeats`` timed calls (at
+least 5) with the min and max, after one untimed warm-up call, and the median
+``time.process_time`` of the same calls (``cpu_median_s``), which counts BLAS
+worker threads too; the Picard entry also records its sweep count.
 
 On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
 
@@ -94,21 +95,28 @@ RADII = (0.16, 0.14, 0.125)
 N = 2
 SEED = 1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SETTLE_S = 0.3
 
 
 def _time(fn, repeats: int, before=None) -> dict:
-    """Median, min and max of ``repeats`` timed calls of ``fn`` after one
-    untimed warm-up; ``before`` runs untimed ahead of each call."""
-    samples = []
+    """Median, min and max wall time of ``repeats`` timed calls of ``fn`` after
+    one untimed warm-up, and the median CPU time of the process (all threads)
+    over the same calls; ``before`` runs untimed ahead of each call.  The
+    pause first lets OpenBLAS workers left spinning by earlier calls go idle,
+    so their CPU is not charged to ``fn``."""
+    time.sleep(SETTLE_S)
+    samples, cpu = [], []
     for k in range(repeats + 1):
         if before is not None:
             before()
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         fn()
         if k:
             samples.append(time.perf_counter() - start)
+            cpu.append(time.process_time() - start_cpu)
     return {"median_s": statistics.median(samples), "min_s": min(samples),
-            "max_s": max(samples), "repeats": repeats}
+            "max_s": max(samples), "cpu_median_s": statistics.median(cpu),
+            "repeats": repeats}
 
 
 def _peak_bytes(fn) -> int:
@@ -238,11 +246,14 @@ def main(argv=None) -> int:
     for chart in ("dirac", "torus", "disk", "blowup", "surface"):
         for size, layers in runs[-1][chart]["sizes"].items():
             for name, t in layers.items():
-                meds = [run[chart]["sizes"][size][name]["median_s"] for run in runs]
+                entries = [run[chart]["sizes"][size][name] for run in runs]
+                meds = [e["median_s"] for e in entries]
+                cpus = [e["cpu_median_s"] for e in entries if "cpu_median_s" in e]
+                cpu = f" cpu {1e3 * statistics.median(cpus):.2f} ms" if cpus else ""
                 peak = f" peak {t['peak_bytes'] / 2 ** 20:.1f} MB" if "peak_bytes" in t else ""
                 sys.stdout.write(f"{args.label} {chart} {size} {name}: "
                                  f"{1e3 * statistics.median(meds):.2f} ms "
-                                 f"[{1e3 * min(meds):.2f}-{1e3 * max(meds):.2f}] "
+                                 f"[{1e3 * min(meds):.2f}-{1e3 * max(meds):.2f}]{cpu} "
                                  f"over {len(meds)} runs{peak}\n")
     return 0
 
