@@ -17,6 +17,7 @@ from spinflow.blowup import (blowup_set, decay_profile, extract_bubble,
 from spinflow.fields import (enneper_field, planted_bubble,
                              bubble_profile_energy, shell_bubble,
                              shell_profile_energy, smoothstep7)
+from spinflow.solve import smallness
 from spinflow.spinors import energy
 
 chart = GridChart.torus(128, spin_structure="PP")
@@ -46,12 +47,13 @@ for p, planted_e in zip(points, (1.3, 1.1)):
     print(f"  planted scales        {[f'{l:.3f}' for l in lams[4:]]}")
     bubbles.append((p.node, ext.lambdas[-1], ext.centers[-1], energy(ext.limit)))
 
-ledger = ledger_assemble(seq, SpinorField(chart, bg), bubbles, h0=1.0)
+ledger = ledger_assemble(seq, SpinorField(chart, bg), bubbles)
+small = smallness(1.0, ledger.energy_bound, 0.5)   # h0 = 1, default guard
 print(f"\nledger: limit {ledger.total_limit:.4f} = background "
       f"{ledger.background:.4f} + bubbles {ledger.bubble_total():.4f} "
       f"+ defect {ledger.defect:+.4f}")
 print(f"defect fraction {abs(ledger.defect) / ledger.total_limit:.2%}, "
-      f"guard value {ledger.guard:.3f} (flagged: {ledger.guard_flagged})")
+      f"guard value {small['margin']:.3f} (flagged: {small['flagged']})")
 
 print("\nneck energies (annulus between 2 lam_m and 0.16):")
 for m in (5, 6, 7):

@@ -21,7 +21,6 @@ from .conformal import rescale
 from .errors import (ConfigurationError, DegenerateFitError, ExtractionError,
                      PreconditionError)
 from .green import conv_transform, conv_window, gradient_magnitude, offset_grid
-from .solve import smallness
 from .spinors import energy, pointwise_norm
 
 
@@ -67,7 +66,6 @@ def local_energy_grid(psi: SpinorField, radius: float) -> np.ndarray:
 class BlowupPoint:
     node: tuple                 # (iy, ix)
     location: tuple             # (x, y)
-    radius_schedule: tuple
     liminf_energy: float
 
 
@@ -134,7 +132,7 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
         d2 = (ox - ox.mean()) ** 2 + (oy - oy.mean()) ** 2
         j, i = (int(k) for k in plateau[np.argmin(d2)])
         points.append(BlowupPoint((j, i), (float(chart.xs[i]), float(chart.ys[j])),
-                                  radii, float(envelope[j, i])))
+                                  float(envelope[j, i])))
     points.sort(key=lambda p: p.node)
     return points
 
@@ -230,7 +228,6 @@ class DecayProfile:
     values: tuple
     exponent: float
     flagged: bool               # decay too weak for a removable singularity
-    threshold: float
 
 
 def decay_profile(psi: SpinorField, radii) -> DecayProfile:
@@ -257,8 +254,7 @@ def decay_profile(psi: SpinorField, radii) -> DecayProfile:
     if any(v <= 0.0 for v in values):
         raise DegenerateFitError("F(r) vanishes for some radius; log fit undefined")
     slope = float(np.polyfit(np.log(radii), np.log(values), 1)[0])
-    return DecayProfile(tuple(radii), tuple(values), slope,
-                        slope < DECAY_FLAG_BELOW, DECAY_FLAG_BELOW)
+    return DecayProfile(tuple(radii), tuple(values), slope, slope < DECAY_FLAG_BELOW)
 
 
 @dataclass(frozen=True)
@@ -276,15 +272,12 @@ class EnergyLedger:
     bubbles: tuple              # BubbleEntry, grouped by point
     defect: float
     energy_bound: float         # max energy over the sequence
-    guard: float                # h0 * sqrt(energy_bound)
-    guard_flagged: bool
 
     def bubble_total(self) -> float:
         return float(sum(b.energy for b in self.bubbles))
 
 
-def ledger_assemble(sequence, background: SpinorField, bubbles,
-                    h0: float = 0.0, guard: float = 0.5) -> EnergyLedger:
+def ledger_assemble(sequence, background: SpinorField, bubbles) -> EnergyLedger:
     """Assemble the energy identity ledger.
 
     ``bubbles`` is an iterable of (point, scale, center, field-or-energy).
@@ -304,7 +297,5 @@ def ledger_assemble(sequence, background: SpinorField, bubbles,
     background_e = energy(background)
     bubble_sum = float(sum(b.energy for b in entries))
     defect = total_limit - background_e - bubble_sum
-    bound = max(energy(f) for f in sequence)
-    block = smallness(h0, bound, guard)
     return EnergyLedger(total_limit, background_e, tuple(entries), defect,
-                        bound, block["margin"], block["flagged"])
+                        max(energy(f) for f in sequence))

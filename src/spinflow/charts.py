@@ -262,7 +262,6 @@ class SpinorField:
 
     chart: GridChart
     values: np.ndarray          # (ny, nx, n, 2) complex128
-    tag: str = ""
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -279,18 +278,18 @@ class SpinorField:
 
     def validate(self):
         if not np.all(np.isfinite(self.values[self.chart.active])):
-            raise PreconditionError(f"field {self.tag!r} contains non-finite values")
+            raise PreconditionError("field contains non-finite values")
         out = ~self.chart.active
         if np.any(out) and np.any(self.values[out] != 0):
-            raise PreconditionError(f"field {self.tag!r} has data on outside nodes")
+            raise PreconditionError("field has data on outside nodes")
         return self
 
     @staticmethod
-    def zeros(chart: GridChart, n: int = 1, tag: str = "") -> "SpinorField":
-        return SpinorField(chart, np.zeros((chart.ny, chart.nx, n, 2), np.complex128), tag)
+    def zeros(chart: GridChart, n: int = 1) -> "SpinorField":
+        return SpinorField(chart, np.zeros((chart.ny, chart.nx, n, 2), np.complex128))
 
     @staticmethod
-    def from_components(chart: GridChart, components, tag: str = "") -> "SpinorField":
+    def from_components(chart: GridChart, components) -> "SpinorField":
         """Build a field from callables or arrays.
 
         ``components`` is a sequence of (f1, f2) pairs, one pair per target
@@ -306,11 +305,10 @@ class SpinorField:
                 arr = comp(X, Y) if callable(comp) else comp
                 v[:, :, i, s] = np.asarray(arr, dtype=np.complex128)
         v[~chart.active] = 0.0
-        return SpinorField(chart, v, tag)
+        return SpinorField(chart, v)
 
-    def copy(self, tag: str | None = None) -> "SpinorField":
-        return SpinorField(self.chart, self.values.copy(),
-                           self.tag if tag is None else tag)
+    def copy(self) -> "SpinorField":
+        return SpinorField(self.chart, self.values.copy())
 
     # Arithmetic is pointwise and chart-checked; scalar multiply only.
     def _check(self, other):
@@ -321,16 +319,16 @@ class SpinorField:
 
     def __add__(self, other):
         self._check(other)
-        return SpinorField(self.chart, self.values + other.values, self.tag)
+        return SpinorField(self.chart, self.values + other.values)
 
     def __sub__(self, other):
         self._check(other)
-        return SpinorField(self.chart, self.values - other.values, self.tag)
+        return SpinorField(self.chart, self.values - other.values)
 
     def __mul__(self, c):
-        return SpinorField(self.chart, self.values * c, self.tag)
+        return SpinorField(self.chart, self.values * c)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpinorField(self.chart, -self.values, self.tag)
+        return SpinorField(self.chart, -self.values)

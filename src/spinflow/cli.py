@@ -61,7 +61,7 @@ def _write_report(out_dir: str, name: str, report: dict) -> str:
 
 def _h0(cfg: RunConfig, chart) -> float:
     """Sup of the configured cubic coefficient on ``chart``."""
-    return cfg.build_reaction().coefficient_bounds(chart)[0]
+    return cfg.build_reaction().coefficient_bound(chart)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,6 @@ def _cmd_blowup(cfg: RunConfig, out_dir: str, field_paths, background_path) -> i
     eps = cfg["analysis.epsilon"]
     radii = cfg["analysis.radii"]
     points = blowup_mod.blowup_set(sequence, eps, radii)
-    h0 = _h0(cfg, sequence[0].chart)
     bubbles = []
     point_reports = []
     for p in points:
@@ -196,8 +195,7 @@ def _cmd_blowup(cfg: RunConfig, out_dir: str, field_paths, background_path) -> i
             "centers": [list(c) for c in ext.centers],
             "bubble_energy": e_limit,
         })
-    ledger = blowup_mod.ledger_assemble(sequence, background, bubbles, h0=h0,
-                                        guard=cfg["solver.guard"])
+    ledger = blowup_mod.ledger_assemble(sequence, background, bubbles)
     report = {
         "command": "blowup",
         "epsilon": eps,
@@ -213,7 +211,8 @@ def _cmd_blowup(cfg: RunConfig, out_dir: str, field_paths, background_path) -> i
             "defect_fraction": abs(ledger.defect) / max(ledger.total_limit, 1e-300),
             "energy_bound": ledger.energy_bound,
         },
-        "smallness": smallness(h0, ledger.energy_bound, cfg["solver.guard"]),
+        "smallness": smallness(_h0(cfg, sequence[0].chart), ledger.energy_bound,
+                               cfg["solver.guard"]),
     }
     path = _write_report(out_dir, "blowup_report.json", report)
     sys.stdout.write(f"blowup: points={len(points)} defect={ledger.defect:.4e} "

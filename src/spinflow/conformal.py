@@ -101,7 +101,7 @@ def rescale(psi: SpinorField, center, lam: float,
     X, Y = target_chart.grid()
     vals = np.sqrt(lam) * sample_field(psi, cx + lam * X, cy + lam * Y)
     vals[~target_chart.active] = 0.0
-    return SpinorField(target_chart, vals, psi.tag and f"{psi.tag}|rescale")
+    return SpinorField(target_chart, vals)
 
 
 def to_cylinder(psi: SpinorField, center, r_inner: float, r_outer: float,
@@ -130,7 +130,7 @@ def to_cylinder(psi: SpinorField, center, r_inner: float, r_outer: float,
     X = center[0] + R * np.cos(TH)
     Y = center[1] + R * np.sin(TH)
     vals = np.exp(-T / 2.0)[..., None, None] * sample_field(psi, X, Y)
-    return SpinorField(target, vals, psi.tag and f"{psi.tag}|cylinder")
+    return SpinorField(target, vals)
 
 
 def cylinder_segment_energy(cyl: SpinorField, t_lo: float, t_hi: float) -> float:
@@ -170,7 +170,7 @@ def sphere_transfer(psi: SpinorField, direction: str) -> SpinorField:
         target = GridChart.sphere(chart.nx, extent=x1)
         rho = 2.0 / (1.0 + X * X + Y * Y)
         vals = psi.values * (rho ** -0.5)[..., None, None]
-        return SpinorField(target, vals, psi.tag and f"{psi.tag}|sphere")
+        return SpinorField(target, vals)
     if direction == "toPlane":
         if chart.kind != SPHERE:
             raise ConfigurationError("toPlane expects a sphere chart")
@@ -180,5 +180,5 @@ def sphere_transfer(psi: SpinorField, direction: str) -> SpinorField:
         X, Y = chart.grid()
         rho = 2.0 / (1.0 + X * X + Y * Y)
         vals = psi.values * (rho ** 0.5)[..., None, None]
-        return SpinorField(target, vals, psi.tag and f"{psi.tag}|plane")
+        return SpinorField(target, vals)
     raise ConfigurationError(f"direction must be 'toSphere' or 'toPlane', got {direction!r}")

@@ -250,7 +250,7 @@ def dirac_apply(psi: SpinorField, mode: str = FD) -> SpinorField:
         # an overlapping view goes through numpy's buffers and its bits change
         np.multiply(setup.b[:, :, None], -vh[..., 0], out=vh[..., 1])
         vh[..., 0] = d1
-        return SpinorField(chart, spin_ifft2(vh, chart), psi.tag)
+        return SpinorField(chart, spin_ifft2(vh, chart))
     if mode != FD:
         raise ConfigurationError(f"unknown mode {mode!r}")
     dx = diff_x(v, chart)
@@ -261,7 +261,7 @@ def dirac_apply(psi: SpinorField, mode: str = FD) -> SpinorField:
     out[..., 1] = -(dx[..., 0] - 1j * dy[..., 0])
     if chart.kind == DISK:
         out[~chart.active] = 0.0
-    return SpinorField(chart, out, psi.tag)
+    return SpinorField(chart, out)
 
 
 def laplace_apply(psi: SpinorField, mode: str = FD) -> SpinorField:
@@ -274,13 +274,13 @@ def laplace_apply(psi: SpinorField, mode: str = FD) -> SpinorField:
         lap = torus_setup(chart, "spectral mode").lap
         vh = spin_fft2(v, chart)
         vh *= lap[:, :, None, None]
-        return SpinorField(chart, spin_ifft2(vh, chart), psi.tag)
+        return SpinorField(chart, spin_ifft2(vh, chart))
     if mode != FD:
         raise ConfigurationError(f"unknown mode {mode!r}")
     out = diff2_x(v, chart) + diff2_y(v, chart)
     if chart.kind == DISK:
         out[~chart.active] = 0.0
-    return SpinorField(chart, out, psi.tag)
+    return SpinorField(chart, out)
 
 
 def dirac_inverse_spectral(f: SpinorField) -> SpinorField:
@@ -291,7 +291,7 @@ def dirac_inverse_spectral(f: SpinorField) -> SpinorField:
     psi2 = fh[..., 0] / setup.a[:, :, None]
     np.divide(-fh[..., 1], setup.b[:, :, None], out=fh[..., 0])
     fh[..., 1] = psi2
-    return SpinorField(chart, spin_ifft2(fh, chart), f.tag)
+    return SpinorField(chart, spin_ifft2(fh, chart))
 
 
 def weitzenboeck_residual(psi: SpinorField, mode: str = SPECTRAL, op=None) -> float:

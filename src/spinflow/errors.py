@@ -1,7 +1,14 @@
 """Exception types shared across the package.
 
-Each class maps to a distinct CLI exit code (see cli.py), so keep the
-hierarchy flat and the meanings disjoint.
+The hierarchy is flat; the CLI (cli.py) maps the classes to exit codes:
+
+    2  ConfigurationError
+    4  FormatError
+    5  DivergenceError, SolverError
+    6  every other SpinflowError: PreconditionError, DomainError,
+       OutOfDomainError, ExtractionError, DecayError, DegenerateFitError
+
+Exit 3 is an OSError, not a SpinflowError.
 """
 
 

@@ -76,8 +76,16 @@ def write_field(path, psi: SpinorField) -> None:
 
 
 def read_field(path) -> SpinorField:
+    """The field stored at ``path``; a FormatError names the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _decode(raw)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _decode(raw: bytes) -> SpinorField:
     if len(raw) < _HEADER.size:
         raise FormatError("field file truncated before the header ends")
     magic, endian, dom, spin, nx, ny, n, _, *params = _HEADER.unpack_from(raw)

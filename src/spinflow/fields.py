@@ -54,7 +54,7 @@ def torus_mode_field(chart: GridChart, amplitude: float = 0.3, n: int = 1,
     top = np.abs(v).max()
     if top > 0:
         v *= amplitude / top
-    return SpinorField(chart, v, f"mode-field(seed={seed})")
+    return SpinorField(chart, v)
 
 
 def enneper_field(chart: GridChart, scale: float = 1.0) -> SpinorField:
@@ -67,8 +67,7 @@ def enneper_field(chart: GridChart, scale: float = 1.0) -> SpinorField:
     X, Y = chart.grid()
     Z = scale * (X + 1j * Y)
     c = np.exp(1j * np.pi / 4) / np.sqrt(2.0)
-    return SpinorField.from_components(
-        chart, [(np.full_like(Z, c), c * Z)], tag="enneper")
+    return SpinorField.from_components(chart, [(np.full_like(Z, c), c * Z)])
 
 
 def smoothstep7(u: np.ndarray) -> np.ndarray:
@@ -148,4 +147,4 @@ def compact_bump_field(chart: GridChart) -> SpinorField:
     r = np.hypot(X - cx, Y - cy)
     g = np.exp(-(r / 0.18) ** 2 / 2.0) * smoothstep7((r - 0.55 * radius) / (0.25 * radius))
     z = (X - cx) + 1j * (Y - cy)
-    return SpinorField.from_components(chart, [(g, 0.3j * g * z)], tag="bump")
+    return SpinorField.from_components(chart, [(g, 0.3j * g * z)])

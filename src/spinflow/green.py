@@ -169,7 +169,7 @@ def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
             m2 = f.values[:, :, i, 1] * setup.phase
             out[:, :, i, 0] = _circular_conv_direct(G1, m2) * setup.unphase
             out[:, :, i, 1] = _circular_conv_direct(G2, m1) * setup.unphase
-        return SpinorField(chart, out, f.tag)
+        return SpinorField(chart, out)
     if chart.kind not in (DISK, RECT):
         raise DomainError(f"green_convolve does not support {chart.kind!r} charts")
     _support_margin_check(f)
@@ -186,7 +186,7 @@ def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
                 out[:, :, i, slot] = conv_window(chart, np.multiply(kernel, spec, out=spec))
     if chart.kind == DISK:
         out[~chart.active] = 0.0
-    return SpinorField(chart, out, f.tag)
+    return SpinorField(chart, out)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     out = np.zeros_like(f.values)
     act = chart.active
     out[act] = np.stack([X[2 * idx[act]], X[2 * idx[act] + 1]], axis=-1)
-    psi = SpinorField(chart, out, f.tag or "disk-solve")
+    psi = SpinorField(chart, out)
     report = {"residual_histories": histories,
               "final_residual": max((h[-1] if h else 0.0) for h in histories),
               "least_squares_residual": max(ls_residuals),
@@ -375,7 +375,7 @@ def windowed_mode_field(chart: GridChart, stream: SplitMix64) -> SpinorField:
     e_y = np.exp(1j * np.pi * ky * (chart.ys - cy) / radius)
     v = np.stack(plane_wave_sum(stream, e_x, e_y, 2) * window, axis=-1)[:, :, None, :]
     v[~chart.active] = 0.0
-    return SpinorField(chart, v, "windowed-mode-field")
+    return SpinorField(chart, v)
 
 
 def gradient_magnitude(psi: SpinorField) -> np.ndarray:

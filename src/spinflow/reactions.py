@@ -26,22 +26,18 @@ derivative of the right-hand side; it is real-linear but not complex-linear
 (the Hermitian pairings conjugate one slot), which is why the Newton solve
 works on real-stacked vectors.
 
-Coefficient bounds: ``h0`` is the sup of the cubic coefficient (for the
-chiral presets sup|H| + alpha with alpha = 1, 1/2, 3/2 for su2/nil/sl2, the
-combination controlling the chiral small-energy guards), ``h1`` the sup of
-its gradient by finite differences.  Coefficients are functions on the
-surface, not spinors: on a torus they are differentiated as periodic
-functions whatever the spin structure, so a constant ``H`` has ``h1 = 0``.
+Coefficient bound: ``h0`` is the sup of the cubic coefficient over the
+active nodes (for the chiral presets sup|H| + alpha with alpha = 1, 1/2, 3/2
+for su2/nil/sl2, the combination controlling the chiral small-energy guards).
+It is the one number of the equation that enters the small-energy margin
+``h0 * ||psi||_{L4}^2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .charts import TORUS, GridChart, SpinorField
-from .dirac import diff_x, diff_y
+from .charts import GridChart, SpinorField
 from .errors import ConfigurationError
 from .spinors import component_inners, node_product, pairing
 
@@ -60,18 +56,6 @@ def _as_node_scalar(h, chart: GridChart) -> np.ndarray:
     return arr
 
 
-def _gradient_sup(coeffs: np.ndarray, chart: GridChart) -> float:
-    """Sup over active nodes of |grad c| for real per-node coefficients of
-    shape (ny, nx, ...), maximized over the trailing entries.  A torus
-    coefficient is differentiated on the chart's PP twin: the spinor wrap sign
-    of an antiperiodic cycle does not apply to functions."""
-    if chart.kind == TORUS:
-        chart = replace(chart, spin_structure="PP")
-    flat = coeffs.reshape(chart.ny, chart.nx, -1)
-    g2 = np.max(diff_x(flat, chart) ** 2 + diff_y(flat, chart) ** 2, axis=2)
-    return float(np.sqrt(g2[chart.active]).max())
-
-
 def _contract(t: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_jkl t^i_jkl P^jk v^l per node for a constant or per-node t, no GEMM:
     M^i_l = t^i_(jk)l P^(jk) with i a leading axis, then M v, by ``node_product``."""
@@ -81,7 +65,7 @@ def _contract(t: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class ReactionSpec:
-    """Base class; concrete variants implement rhs/linearize/bounds."""
+    """Base class; concrete variants implement rhs/linearize/coefficient_bound."""
 
     n = 1
 
@@ -91,8 +75,8 @@ class ReactionSpec:
     def linearize(self, psi: SpinorField, delta: SpinorField) -> SpinorField:
         raise NotImplementedError
 
-    def coefficient_bounds(self, chart: GridChart) -> tuple:
-        """(h0, h1): sup of the cubic coefficients and of their gradient."""
+    def coefficient_bound(self, chart: GridChart) -> float:
+        """h0: sup of the cubic coefficients over the active nodes."""
         raise NotImplementedError
 
     def _check(self, psi: SpinorField):
@@ -121,21 +105,20 @@ class GeneralCubic(ReactionSpec):
         self._check(psi)
         t = self._tensor_on(psi.chart)
         out = _contract(t, component_inners(psi), psi.values)
-        return SpinorField(psi.chart, out, psi.tag)
+        return SpinorField(psi.chart, out)
 
     def linearize(self, psi: SpinorField, delta: SpinorField) -> SpinorField:
         self._check(psi)
         t = self._tensor_on(psi.chart)
         v, d = psi.values, delta.values
-        dP = pairing(d, v) + pairing(v, d)
+        dP = pairing(d, v)
+        dP = dP + np.conj(np.swapaxes(dP, -1, -2))  # + pairing(v, d), bit for bit
         out = _contract(t, dP, v) + _contract(t, component_inners(psi), d)
-        return SpinorField(psi.chart, out, psi.tag)
+        return SpinorField(psi.chart, out)
 
-    def coefficient_bounds(self, chart: GridChart) -> tuple:
+    def coefficient_bound(self, chart: GridChart) -> float:
         t = self._tensor_on(chart)
-        if t.ndim == 4:
-            return float(np.abs(t).max()), 0.0
-        return float(np.abs(t[chart.active]).max()), _gradient_sup(t, chart)
+        return float(np.abs(t if t.ndim == 4 else t[chart.active]).max())
 
 
 class ScalarH(GeneralCubic):
@@ -215,7 +198,7 @@ class ChiralUV(ReactionSpec):
         out = np.empty_like(psi.values)
         out[..., 0, 0] = V * psi.values[..., 0, 0]   # Gamma_- keeps slot 1
         out[..., 0, 1] = U * psi.values[..., 0, 1]   # Gamma_+ keeps slot 2
-        return SpinorField(psi.chart, out, psi.tag)
+        return SpinorField(psi.chart, out)
 
     def linearize(self, psi: SpinorField, delta: SpinorField) -> SpinorField:
         self._check(psi)
@@ -228,8 +211,7 @@ class ChiralUV(ReactionSpec):
         out = np.empty_like(v)
         out[..., 0, 0] = V * d[..., 0, 0] + dV * v[..., 0, 0]
         out[..., 0, 1] = U * d[..., 0, 1] + dU * v[..., 0, 1]
-        return SpinorField(psi.chart, out, psi.tag)
+        return SpinorField(psi.chart, out)
 
-    def coefficient_bounds(self, chart: GridChart) -> tuple:
-        h0, h1 = ScalarH(self.h).coefficient_bounds(chart)
-        return h0 + CHIRAL_ALPHA[self.preset], h1
+    def coefficient_bound(self, chart: GridChart) -> float:
+        return ScalarH(self.h).coefficient_bound(chart) + CHIRAL_ALPHA[self.preset]

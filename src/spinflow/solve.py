@@ -54,8 +54,7 @@ def smallness(h0: float, e: float, guard: float) -> dict:
 def smallness_margin(spec: ReactionSpec, psi: SpinorField) -> float:
     """h0 * ||psi||_{L4}^2; values above the guard put the solve outside the
     proven contraction regime."""
-    h0, _ = spec.coefficient_bounds(psi.chart)
-    return smallness(h0, energy(psi), np.inf)["margin"]
+    return smallness(spec.coefficient_bound(psi.chart), energy(psi), np.inf)["margin"]
 
 
 @dataclass
@@ -122,7 +121,7 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
             theta = max(0.5 * theta, damping)
     report.reason = "converged" if report.converged else f"not converged after {max_iter} sweeps"
     report.final_residual = report.residual_norms[-1] if report.residual_norms else np.inf
-    block = smallness(spec.coefficient_bounds(chart)[0], energy(psi), guard)
+    block = smallness(spec.coefficient_bound(chart), energy(psi), guard)
     report.margin = block["margin"]
     report.guard_flagged = block["flagged"]
     return psi, report
@@ -185,7 +184,7 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
             report.stagnated = True
             report.reason = f"gmres did not converge (info={info}) at step {step}"
             break
-        candidate = SpinorField(chart, psi.values + _real_unflatten(sol, shape), psi.tag)
+        candidate = SpinorField(chart, psi.values + _real_unflatten(sol, shape))
         new_field, new_norm = residual(spec, candidate, forcing, mode="spectral")
         if not np.isfinite(new_norm) or new_norm >= rnorm:
             report.stagnated = True

@@ -75,7 +75,7 @@ def node_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def apply_matrix(mat: np.ndarray, psi: SpinorField) -> SpinorField:
     """Apply a 2x2 matrix blockwise to every component of every node."""
-    return SpinorField(psi.chart, node_product(psi.values, mat.T), psi.tag)
+    return SpinorField(psi.chart, node_product(psi.values, mat.T))
 
 
 def clifford_multiply(alpha: int, psi: SpinorField) -> SpinorField:

@@ -61,7 +61,6 @@ class SurfaceMesh:
     vertices: np.ndarray        # (ny, nx, 3) float, NaN outside the domain
     faces: np.ndarray           # (m, 3) flat node ids iy*nx + ix, grid-oriented
     loop_residual: float        # max plaquette circulation / cell area
-    source_tag: str
     basepoint: tuple            # (iy, ix)
 
 
@@ -124,7 +123,7 @@ def integrate_surface(psi: SpinorField, basepoint: tuple | None = None) -> Surfa
         loop_residual = 0.0
 
     faces = _triangulate(chart, X)
-    return SurfaceMesh(chart, X, faces, loop_residual, psi.tag, tuple(basepoint))
+    return SurfaceMesh(chart, X, faces, loop_residual, tuple(basepoint))
 
 
 def _triangulate(chart: GridChart, X: np.ndarray) -> np.ndarray:

@@ -244,7 +244,7 @@ class TestAcceptance:
         bubbles = [(points[0].node, lams[-1], p1, 1.3),
                    (points[0].node, lams[-1], p1, 0.5),
                    (points[1].node, lams[-1], p2, 1.1)] if two_points else []
-        led = ledger_assemble(seq, SpinorField(chart, bg_vals), bubbles, h0=1.0)
+        led = ledger_assemble(seq, SpinorField(chart, bg_vals), bubbles)
         groups = bubbles_by_point(led)
         grouped_ok = sorted(len(v) for v in groups.values()) == [1, 2]
         defect_frac = abs(led.defect) / led.total_limit

@@ -193,7 +193,7 @@ class TestExtractBubble:
         bg = SpinorField(torus128, make_background(torus128))
         seq = [bg.copy() for _ in range(6)]
         from spinflow.blowup import BlowupPoint
-        fake = BlowupPoint((96, 96), (0.75, 0.75), (0.1,), 1.0)
+        fake = BlowupPoint((96, 96), (0.75, 0.75), 1.0)
         with pytest.raises(ExtractionError):
             extract_bubble(seq, fake, 1.0, search_radius=0.2)
 
@@ -286,11 +286,9 @@ class TestLedger:
 
     def test_single_planted_bubble(self, torus128):
         seq, lams, bg = single_bubble_sequence(torus128, (0.75, 0.75))
-        led = ledger_assemble(seq, bg, [((96, 96), lams[-1], (0.75, 0.75), 1.1)],
-                              h0=1.0)
+        led = ledger_assemble(seq, bg, [((96, 96), lams[-1], (0.75, 0.75), 1.1)])
         assert abs(led.defect) <= 0.01 * led.total_limit
         assert led.energy_bound == max(energy(f) for f in seq)
-        assert led.guard == pytest.approx(np.sqrt(led.energy_bound))
 
     def test_three_bubbles_two_points_grouping(self, torus128):
         # two bubbles at p1 with disjoint supports (Gaussian core inside a
@@ -332,7 +330,7 @@ class TestLedger:
         bubbles = [(pts[0].node, lams[-1], p1, 1.3),
                    (pts[0].node, lams[-1], p1, e_ring),
                    (pts[1].node, lams[-1], p2, 1.1)]
-        led = ledger_assemble(seq, SpinorField(torus128, bg), bubbles, h0=1.0)
+        led = ledger_assemble(seq, SpinorField(torus128, bg), bubbles)
         groups = bubbles_by_point(led)
         assert sorted(len(v) for v in groups.values()) == [1, 2]
         assert abs(led.defect) <= 0.01 * led.total_limit

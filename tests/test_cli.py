@@ -170,12 +170,13 @@ class TestReconstruct:
         assert proc.stderr.startswith("usage: spinflow")
         assert "unrecognized arguments: --seed 1" in proc.stderr
 
-    def test_corrupt_field_exit_code(self, tmp_path):
+    def test_corrupt_field_exit_code(self, tmp_path, capsys):
         (tmp_path / "corrupt.spnf").write_bytes(b"NOTAFIELD")
         cfg = write_cfg(tmp_path / "c.cfg", "")
         code = main(["reconstruct", "--config", cfg,
                      "--field", str(tmp_path / "corrupt.spnf"), "--out", str(tmp_path)])
         assert code == 4
+        assert str(tmp_path / "corrupt.spnf") in capsys.readouterr().err
 
 
 class TestBlowup:
@@ -203,6 +204,7 @@ class TestBlowup:
 analysis.epsilon = 1.0
 analysis.radii = 0.12, 0.1, 0.08
 analysis.search_radius = 0.2
+reaction.h = 1.0
 """)
         code = main(["blowup", "--config", cfg, "--fields", *paths,
                      "--background", bgp, "--out", str(tmp_path)])
@@ -210,6 +212,10 @@ analysis.search_radius = 0.2
         rep = json.loads((tmp_path / "blowup_report.json").read_text())
         assert len(rep["points"]) == 1
         assert rep["ledger"]["defect_fraction"] <= 0.01
+        # h0 = 1: the margin is ||psi||_{L4}^2 at the sequence's energy bound
+        small = rep["smallness"]
+        assert small["margin"] == pytest.approx(np.sqrt(rep["ledger"]["energy_bound"]))
+        assert small["flagged"] == (small["margin"] >= small["guard"])
 
     def test_nonconcentrating_sequence_empty(self, tmp_path):
         chart = GridChart.torus(64, spin_structure="PP")
@@ -248,6 +254,25 @@ analysis.search_radius = 0.2
         code = main(["blowup", "--config", cfg, "--fields", *paths,
                      "--background", str(tmp_path / "bg2.spnf"), "--out", str(tmp_path)])
         assert code == 2
+        assert not (tmp_path / "blowup_report.json").exists()
+
+    def test_nonfinite_field_named(self, tmp_path, capsys):
+        chart = GridChart.torus(32, spin_structure="PP")
+        paths = []
+        for m in range(4):
+            vals = np.zeros((32, 32, 1, 2), complex)
+            vals[..., 0, 0] = 0.1 * (m + 1)
+            paths.append(str(tmp_path / f"f{m}.spnf"))
+            write_field(paths[-1], SpinorField(chart, vals))
+        raw = bytearray((tmp_path / "f2.spnf").read_bytes())
+        raw[56:64] = np.array([np.nan], "<f8").tobytes()   # real part of node (0, 0)
+        (tmp_path / "f2.spnf").write_bytes(bytes(raw))
+        cfg = write_cfg(tmp_path / "c.cfg", "")
+        code = main(["blowup", "--config", cfg, "--fields", *paths, "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert paths[2] in err and "non-finite" in err
+        assert not any(p in err for p in paths[:2] + paths[3:])
         assert not (tmp_path / "blowup_report.json").exists()
 
     def test_too_few_fields(self, tmp_path):

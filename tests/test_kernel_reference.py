@@ -27,7 +27,7 @@ from spinflow.fields import (DEFAULT_MODES, bubble_profile_energy, planted_bubbl
                              smoothstep7, torus_mode_field)
 from spinflow.green import (GreenKernel, _free_kernel_ffts, conv_transform, conv_window,
                             green_convolve, windowed_mode_field)
-from spinflow.reactions import CurvatureCubic, GeneralCubic, ScalarH, _contract, _gradient_sup
+from spinflow.reactions import CurvatureCubic, GeneralCubic, ScalarH, _contract
 from spinflow.rng import SplitMix64
 from spinflow.spinors import (PROJ_MINUS, PROJ_PLUS, SIGMA1, SIGMA2, _region_mask,
                               chirality_project, clifford_multiply, component_inners,
@@ -125,6 +125,19 @@ def test_pairing_against_einsum(n):
             _close(pairing(a, b), np.einsum("yxjs,yxks->yxjk", a, np.conj(b)))
 
 
+@pytest.mark.parametrize("nx", [64, 192])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_swapped_pairing_is_conjugate_transpose(n, nx):
+    # GeneralCubic.linearize builds pairing(v, d) as the conjugate transpose
+    # of pairing(d, v); the two must agree bit for bit, C- and F-ordered
+    chart = GridChart.torus(nx, spin_structure="AA")
+    v = random_field(chart, n=n, seed=n).values
+    d = random_field(chart, n=n, seed=n + 10).values
+    for dd, vv in ((d, v), (np.asfortranarray(d), np.asfortranarray(v))):
+        swapped = np.conj(np.swapaxes(pairing(dd, vv), -1, -2))
+        assert swapped.tobytes() == pairing(vv, dd).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_clifford_and_chirality_against_einsum(n):
     # the 2x2 blocks hold only 0, +-1 and +-i, so the node product must equal
@@ -168,8 +181,7 @@ def test_scalar_h_is_general_cubic(chart, kind):
     assert spec.rhs(psi).values.tobytes() == _ref_scalar_rhs(H, psi).tobytes()
     assert (spec.linearize(psi, delta).values.tobytes()
             == _ref_scalar_linearize(H, psi, delta).tobytes())
-    assert spec.coefficient_bounds(chart) == (float(np.abs(H[chart.active]).max()),
-                                              _gradient_sup(H, chart))
+    assert spec.coefficient_bound(chart) == float(np.abs(H[chart.active]).max())
 
 
 # ---------------------------------------------------------------------------

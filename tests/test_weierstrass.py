@@ -171,7 +171,7 @@ class TestMeanCurvatureCalibration:
             pts = np.stack([2 * X / den, 2 * Y / den, (X ** 2 + Y ** 2 - 1) / den],
                            axis=-1)
             faces = _triangulate(chart, pts)[:, ::-1]   # outward orientation
-            mesh = SurfaceMesh(chart, pts, faces, 0.0, "sphere", (nx // 2, nx // 2))
+            mesh = SurfaceMesh(chart, pts, faces, 0.0, (nx // 2, nx // 2))
             H, _ = mean_curvature(mesh)
             core = (np.abs(X) <= 0.8) & (np.abs(Y) <= 0.8) & np.isfinite(H)
             errs.append(float(np.abs(H[core] - 1.0).max()))

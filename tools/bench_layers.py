@@ -1,7 +1,7 @@
 """Per-layer timings of the Dirac operators, the torus solve path, the disk
 Green layer and the analysis layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_14.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_15.json
 
 On an AA torus with n = 2 at 128^2, 192^2 and 256^2 it times
 ``dirac.dirac_apply`` in FD and in spectral mode and
@@ -46,7 +46,8 @@ at scales 0.17 * 0.88^m, it times:
 * ``blowup.extract_bubble`` of the point found, search radius 0.2.
 
 On the square [-1, 1]^2 at 129 and 257 nodes with ``enneper_field`` of scale
-0.9 it times ``weierstrass.integrate_surface`` and the CLI's OBJ writer
+0.9 it times ``weierstrass.integrate_surface``, ``weierstrass.mean_curvature``
+and ``weierstrass.mesh_area`` of its mesh, and the CLI's OBJ writer
 ``cli._write_obj`` (into a temporary directory).
 
 Each invocation appends one run, with the machine (CPU count, numpy and
@@ -85,7 +86,7 @@ from spinflow.reactions import ScalarH, _contract
 from spinflow.rng import SplitMix64
 from spinflow.solve import picard_solve
 from spinflow.spinors import component_inners
-from spinflow.weierstrass import integrate_surface
+from spinflow.weierstrass import integrate_surface, mean_curvature, mesh_area
 
 SIZES = (128, 192, 256)
 DISK_SIZES = (97, 129, 257)
@@ -206,6 +207,8 @@ def measure_surface(nx: int, repeats: int) -> dict:
         obj = os.path.join(tmp, "surface.obj")
         return {
             "weierstrass.integrate_surface": _time(lambda: integrate_surface(psi), repeats),
+            "weierstrass.mean_curvature": _time(lambda: mean_curvature(mesh), repeats),
+            "weierstrass.mesh_area": _time(lambda: mesh_area(mesh), repeats),
             "cli._write_obj": _time(lambda: _write_obj(obj, mesh), repeats),
         }
 
