@@ -241,11 +241,6 @@ class GridChart:
         order = np.lexsort((ii, jj, ang))
         return np.stack([jj[order], ii[order]], axis=1)
 
-    @cached_property
-    def boundary_coords(self) -> np.ndarray:
-        nodes = self.boundary_nodes
-        return np.stack([self.xs[nodes[:, 1]], self.ys[nodes[:, 0]]], axis=1)
-
     def signature(self) -> tuple:
         return (self.kind, self.nx, self.ny, self.params, self.spin_structure)
 

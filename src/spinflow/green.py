@@ -41,6 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy import ndimage
 
+from ._blas import one_blas_thread
 from .charts import DISK, RECT, TORUS, GridChart, SpinorField
 from .dirac import _CACHE_CHARTS, diff_x, diff_y, dirac_inverse_spectral, torus_setup
 from .errors import ConfigurationError, DomainError, PreconditionError, SolverError
@@ -269,7 +270,8 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     component is at or below ``tol``, and raises SolverError with the residual
     history when a refinement fails to lower the worst residual (a NaN
     residual included).  Returns (psi, report); ``"iterations"`` is the
-    number of solves plus one.
+    number of solves plus one.  BLAS runs at one thread, so the bytes do not
+    depend on the thread count.
     """
     chart = f.chart
     if chart.kind != DISK:
@@ -279,37 +281,38 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     if trace.shape != (bnodes.shape[0], f.n, 2):
         raise PreconditionError(
             f"trace must have shape (n_boundary, n, 2) = {(bnodes.shape[0], f.n, 2)}")
-    A, idx, corners = _disk_system(chart)
+    with one_blas_thread():
+        A, idx, corners = _disk_system(chart)
 
-    # right-hand sides, one column per component: corner means (the leading 0
-    # is a Python sum's start value, so four -0.0 corners give +0.0), then
-    # the weighted trace rows
-    c0, c1, c2, c3 = f.values.reshape(-1, f.n, 2)[corners]
-    rhs = np.concatenate([0.25 * (0 + c0 + c1 + c2 + c3), (1.0 / chart.h) * trace])
-    B = rhs.transpose(0, 2, 1).reshape(-1, f.n)
+        # right-hand sides, one column per component: corner means (the leading 0
+        # is a Python sum's start value, so four -0.0 corners give +0.0), then
+        # the weighted trace rows
+        c0, c1, c2, c3 = f.values.reshape(-1, f.n, 2)[corners]
+        rhs = np.concatenate([0.25 * (0 + c0 + c1 + c2 + c3), (1.0 / chart.h) * trace])
+        B = rhs.transpose(0, 2, 1).reshape(-1, f.n)
 
-    # normal equations by the cached factor, both slots of every column in
-    # one solve, refined with the same factor while above tol
-    lu = _disk_factor(chart)
-    X = np.zeros((A.shape[1], B.shape[1]), np.complex128)
-    R = _adjoint(A, B)
-    snorm = [np.linalg.norm(R[:, c]) for c in range(B.shape[1])]
-    histories = [[] if s == 0 else [1.0] for s in snorm]
-    # written so that a NaN residual counts as not converged and not falling
-    while live := [c for c, h in enumerate(histories) if h and not h[-1] <= tol]:
-        worst = histories[max(live, key=lambda c: histories[c][-1])]
-        if len(worst) > 1 and not worst[-1] < worst[-2]:
-            raise SolverError(f"disk_solve: relative normal residual {worst[-1]:.3e} "
-                              f"above tol after {len(worst) - 1} solves", worst)
-        sol = lu.solve(np.concatenate([R[1::2, live], R[0::2, live].conj()], axis=1))
-        X[1::2, live] += sol[:, :len(live)]
-        X[0::2, live] += sol[:, len(live):].conj()
-        R = _adjoint(A, B - A @ X)
-        for c in live:
-            histories[c].append(float(np.linalg.norm(R[:, c]) / snorm[c]))
+        # normal equations by the cached factor, both slots of every column in
+        # one solve, refined with the same factor while above tol
+        lu = _disk_factor(chart)
+        X = np.zeros((A.shape[1], B.shape[1]), np.complex128)
+        R = _adjoint(A, B)
+        snorm = [np.linalg.norm(R[:, c]) for c in range(B.shape[1])]
+        histories = [[] if s == 0 else [1.0] for s in snorm]
+        # written so that a NaN residual counts as not converged and not falling
+        while live := [c for c, h in enumerate(histories) if h and not h[-1] <= tol]:
+            worst = histories[max(live, key=lambda c: histories[c][-1])]
+            if len(worst) > 1 and not worst[-1] < worst[-2]:
+                raise SolverError(f"disk_solve: relative normal residual {worst[-1]:.3e} "
+                                  f"above tol after {len(worst) - 1} solves", worst)
+            sol = lu.solve(np.concatenate([R[1::2, live], R[0::2, live].conj()], axis=1))
+            X[1::2, live] += sol[:, :len(live)]
+            X[0::2, live] += sol[:, len(live):].conj()
+            R = _adjoint(A, B - A @ X)
+            for c in live:
+                histories[c].append(float(np.linalg.norm(R[:, c]) / snorm[c]))
 
-    ls_residuals = [float(np.linalg.norm(A @ x - b) / np.linalg.norm(b)) if b.any() else 0.0
-                    for x, b in zip(X.T, B.T)]
+        ls_residuals = [float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+                        if b.any() else 0.0 for x, b in zip(X.T, B.T)]
     out = np.zeros_like(f.values)
     act = chart.active
     out[act] = np.stack([X[2 * idx[act]], X[2 * idx[act] + 1]], axis=-1)

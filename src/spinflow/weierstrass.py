@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy import ndimage
 
 from .charts import BOUNDARY, CYLINDER, GridChart, SpinorField
@@ -180,6 +179,11 @@ def induced_metric_residual(mesh: SurfaceMesh, psi: SpinorField) -> float:
     return worst
 
 
+def _vertex_sums(index: np.ndarray, rows: np.ndarray, nv: int) -> np.ndarray:
+    """Sums of the 3-vectors ``rows`` per vertex ``index``, shape (nv, 3)."""
+    return np.stack([np.bincount(index, rows[:, k], nv) for k in range(3)], axis=1)
+
+
 def mean_curvature(mesh: SurfaceMesh):
     """Signed discrete mean curvature at interior vertices.
 
@@ -195,34 +199,26 @@ def mean_curvature(mesh: SurfaceMesh):
     if F.size == 0:
         return np.full((ny, nx), np.nan), []
 
-    p0, p1, p2 = V[F[:, 0]], V[F[:, 1]], V[F[:, 2]]
-    cr = np.cross(p1 - p0, p2 - p0)
+    P = V[F]                                        # corners, (n_faces, 3, 3)
+    edges = P[:, [1, 2, 0]] - P                     # edge k runs from corner k to k + 1
+    cr = np.cross(edges[:, 0], -edges[:, 2])
     area2 = np.linalg.norm(cr, axis=1)              # twice the face area
     scale = float(np.median(area2[area2 > 0])) if np.any(area2 > 0) else 0.0
     degenerate = area2 <= DEGENERATE_AREA_FACTOR * max(scale, 1.0)
 
     nv = V.shape[0]
-    vertex_area = np.zeros(nv)
-    normal_acc = np.zeros((nv, 3))
     good = ~degenerate
-    rows, cols, vals = [], [], []
-    for (ia, ib, ic) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        e1 = V[F[:, ib]] - V[F[:, ia]]
-        e2 = V[F[:, ic]] - V[F[:, ia]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = np.einsum("ij,ij->i", e1, e2) / area2
-        w = np.where(good, 0.5 * cot, 0.0)     # corner a weights opposite edge (b, c)
-        rows.extend([F[good, ib], F[good, ic]])
-        cols.extend([F[good, ic], F[good, ib]])
-        vals.extend([w[good], w[good]])
-    W = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nv, nv))
-    np.add.at(vertex_area, F[good].ravel(), np.repeat(area2[good] / 6.0, 3))
-    np.add.at(normal_acc, F[good].ravel(), np.repeat(0.5 * cr[good], 3, axis=0))
-
-    diag = np.asarray(W.sum(axis=1)).ravel()
-    LX = W @ V - diag[:, None] * V
+    Fg, area2, cr, edges = F[good], area2[good], cr[good], edges[good]
+    vertex_area = np.bincount(Fg.ravel(), np.repeat(area2 / 6.0, 3), nv)
+    normal_acc = _vertex_sums(Fg.ravel(), np.repeat(0.5 * cr, 3, axis=0), nv)
+    # corner a weights its opposite edge b (from vertex b to c) by half its
+    # cotangent, pulling b toward c and c toward b
+    LX = np.zeros((nv, 3))
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        cot = -np.einsum("ij,ij->i", edges[:, a], edges[:, c]) / area2
+        pull = (0.5 * cot)[:, None] * edges[:, b]
+        LX += _vertex_sums(Fg[:, b], pull, nv) - _vertex_sums(Fg[:, c], pull, nv)
 
     # interior = active 8-neighborhood, not meeting a degenerate face
     interior = ndimage.binary_erosion(chart.active, np.ones((3, 3)))

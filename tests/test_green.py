@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -19,7 +23,8 @@ def boundary_trace_norm(chart, trace, p):
     """W^{1,p} norm of disk boundary data: p-norms of the trace and its
     arclength derivative (centered differences along the discrete boundary
     curve)."""
-    coords = chart.boundary_coords
+    nodes = chart.boundary_nodes
+    coords = np.stack([chart.xs[nodes[:, 1]], chart.ys[nodes[:, 0]]], axis=1)
     nb = coords.shape[0]
     seg = np.linalg.norm(np.roll(coords, -1, axis=0) - coords, axis=1)
     ds = 0.5 * (seg + np.roll(seg, 1))
@@ -193,6 +198,48 @@ class TestDiskSolve:
             den = scalar_lp_norm(fmag, chart, p) + boundary_trace_norm(chart, trace, p)
             ratios.append(num / den)
         assert max(ratios) / min(ratios) < 1.5
+
+
+# disk_solve of a random source with zero trace, then a disk Picard solve
+# driven by a boundary trace; prints the sha256 of each result
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from spinflow.charts import GridChart, SpinorField
+from spinflow.green import disk_solve
+from spinflow.reactions import ScalarH
+from spinflow.solve import picard_solve
+
+chart = GridChart.disk(97, 1.0)
+rng = np.random.default_rng(3)
+f = SpinorField(chart, rng.standard_normal((97, 97, 1, 2))
+                + 1j * rng.standard_normal((97, 97, 1, 2)))
+f.values[~chart.active] = 0.0
+bn = chart.boundary_nodes
+psi, _ = disk_solve(f, np.zeros((bn.shape[0], 1, 2), complex))
+X, _ = chart.grid()
+trace = np.zeros((bn.shape[0], 1, 2), complex)
+trace[:, 0, 0] = 0.3 * np.exp(1j * X[bn[:, 0], bn[:, 1]])
+sol, rep = picard_solve(ScalarH(0.4), SpinorField.zeros(chart, 1), trace=trace,
+                        tol=1e-8, max_iter=60)
+assert rep.converged
+print(hashlib.sha256(psi.values.tobytes()).hexdigest())
+print(hashlib.sha256(sol.values.tobytes()).hexdigest())
+"""
+
+
+def test_disk_bytes_do_not_depend_on_blas_threads():
+    digests = {}
+    for threads in ("1", "2", None):    # None: unset, the library default
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        digests[threads] = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
+            text=True, check=True, timeout=300).stdout.split()
+    assert len(digests["1"]) == 2
+    assert digests["1"] == digests["2"] == digests[None]
 
 
 def _manufactured_solve_data(nx):

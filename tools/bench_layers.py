@@ -1,7 +1,7 @@
 """Per-layer timings of the Dirac operators, the torus solve path, the disk
 Green layer and the analysis layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_15.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_16.json
 
 On an AA torus with n = 2 at 128^2, 192^2 and 256^2 it times
 ``dirac.dirac_apply`` in FD and in spectral mode and
@@ -14,14 +14,17 @@ On the same tori it times:
 * ``reactions._contract`` with a constant tensor and the pairing matrix;
 * ``GeneralCubic.rhs`` and ``GeneralCubic.linearize``;
 * ``spinors.component_inners``;
-* one ``picard_solve`` of a manufactured target (amplitude 0.3, tol 1e-8).
+* one ``picard_solve`` of a manufactured target (amplitude 0.3, tol 1e-8);
+* one ``newton_refine`` (tol 1e-10) from that Picard solution, the Newton
+  step of ``spinflow solve`` with its default tolerances.
 
 The reaction is the ``general_cubic`` tensor the CLI builds for
 ``reaction.h = 1.0``, the same one the ``torus-solve`` benchmark workload
 solves.  Each entry is the median wall time of ``--repeats`` timed calls (at
 least 5) with the min and max, after one untimed warm-up call, and the median
 ``time.process_time`` of the same calls (``cpu_median_s``), which counts BLAS
-worker threads too; the Picard entry also records its sweep count.
+worker threads too; the Picard entry also records its sweep count and the
+Newton entry its step count.
 
 On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
 
@@ -29,6 +32,8 @@ On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
   ``_disk_factor.cache_clear()``, so it pays for the SuperLU factor;
 * ``green.disk_solve`` warm, with the factor cached;
 * ``green.green_convolve`` on its FFT route;
+* ``green.windowed_mode_field`` itself, whose cost is the matrix product in
+  ``fields.plane_wave_sum``;
 * ``ScalarH(0.4).rhs`` and ``ScalarH(0.4).linearize``.
 
 The source is ``windowed_mode_field`` of the seed, which vanishes near the
@@ -84,7 +89,7 @@ from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubbl
 from spinflow.green import _disk_factor, disk_solve, green_convolve, windowed_mode_field
 from spinflow.reactions import ScalarH, _contract
 from spinflow.rng import SplitMix64
-from spinflow.solve import picard_solve
+from spinflow.solve import newton_refine, picard_solve
 from spinflow.spinors import component_inners
 from spinflow.weierstrass import integrate_surface, mean_curvature, mesh_area
 
@@ -150,11 +155,15 @@ def measure(size: int, repeats: int) -> dict:
     delta = torus_mode_field(chart, 0.1, N, SEED + 1)
     P = component_inners(psi)
     forcing = dirac_apply(psi, "spectral") - spec.rhs(psi)
-    sweeps = []
+    start, _ = picard_solve(spec, SpinorField.zeros(chart, N), forcing=forcing, tol=1e-8)
+    sweeps, steps = [], []
 
     def solve():
         _, rep = picard_solve(spec, SpinorField.zeros(chart, N), forcing=forcing, tol=1e-8)
         sweeps.append(rep.iterations)
+
+    def refine():
+        steps.append(newton_refine(spec, start, forcing=forcing, tol=1e-10)[1].steps)
 
     out = {
         "reactions._contract": _time(lambda: _contract(spec.tensor, P, psi.values), repeats),
@@ -162,8 +171,10 @@ def measure(size: int, repeats: int) -> dict:
         "reactions.GeneralCubic.linearize": _time(lambda: spec.linearize(psi, delta), repeats),
         "spinors.component_inners": _time(lambda: component_inners(psi), repeats),
         "solve.picard_solve": _time(solve, repeats),
+        "solve.newton_refine": _time(refine, repeats),
     }
     out["solve.picard_solve"]["sweeps"] = sweeps[-1]
+    out["solve.newton_refine"]["steps"] = steps[-1]
     return out
 
 
@@ -181,6 +192,8 @@ def measure_disk(nx: int, repeats: int) -> dict:
                                        before=_disk_factor.cache_clear),
         "green.disk_solve.warm": _time(lambda: disk_solve(f, trace), repeats),
         "green.green_convolve.fft": _time(lambda: green_convolve(f), repeats),
+        "green.windowed_mode_field": _time(
+            lambda: windowed_mode_field(chart, SplitMix64(SEED)), repeats),
         "reactions.ScalarH.rhs": _time(lambda: spec.rhs(f), repeats),
         "reactions.ScalarH.linearize": _time(lambda: spec.linearize(f, delta), repeats),
     }
