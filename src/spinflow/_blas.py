@@ -1,44 +1,58 @@
 """One-thread pin for the OpenBLAS builds bundled with numpy (ILP64) and with
-scipy (LP64, which SuperLU and GMRES call)."""
+scipy (LP64, which SuperLU and GMRES call).  The pin binds only a library the
+process has already loaded, so entering it never loads scipy's; code that runs
+scipy inside the pin imports it before entering."""
 
 from __future__ import annotations
 
 import ctypes
 import glob
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache
-
-import numpy
-import scipy
+from importlib.util import find_spec
 
 
 @cache
-def _thread_controls() -> tuple:
-    """(get, set) thread-count functions of both libraries, loaded on first
-    use; empty when either is missing, so one is never pinned alone."""
-    controls = []
-    for package, pattern, suffix in ((numpy, "numpy.libs/libscipy_openblas64_*.so*", "64_"),
-                                     (scipy, "scipy.libs/libscipy_openblas-*.so*", "")):
-        paths = glob.glob(os.path.join(os.path.dirname(package.__path__[0]), pattern))
+def _library_paths() -> tuple:
+    """(path, symbol suffix) of both bundled libraries, found without importing
+    either package; empty when either is missing, so one is never pinned alone."""
+    found = []
+    for package, pattern, suffix in (("numpy", "numpy.libs/libscipy_openblas64_*.so*", "64_"),
+                                     ("scipy", "scipy.libs/libscipy_openblas-*.so*", "")):
+        root = os.path.dirname(find_spec(package).submodule_search_locations[0])
+        paths = glob.glob(os.path.join(root, pattern))
         if len(paths) != 1:
             return ()
-        try:
-            lib = ctypes.CDLL(paths[0])
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except (OSError, AttributeError):
-            return ()
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        controls.append((get, set_))
+        found.append((paths[0], suffix))
+    return tuple(found)
+
+
+@cache
+def _bind(path: str, suffix: str) -> tuple:
+    """(get, set) thread-count functions of a loaded library; OSError if not."""
+    lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}") for op in ("get", "set"))
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _thread_controls() -> tuple:
+    """Controls of the bundled libraries already loaded; one not loaded runs no
+    BLAS, and a failed bind is not cached."""
+    controls = []
+    for path, suffix in _library_paths():
+        with suppress(OSError, AttributeError):
+            controls.append(_bind(path, suffix))
     return tuple(controls)
 
 
 @contextmanager
 def one_blas_thread():
-    """Run the body with both bundled OpenBLAS libraries at one thread and
-    restore their counts after, also when it raises; without both, do nothing.
+    """Run the body with the loaded bundled OpenBLAS libraries at one thread
+    and restore their counts after, also when it raises; without both wheels'
+    libraries, do nothing.
     The pin is process-global while it lasts, so spinflow does not support
     concurrent calls from several Python threads."""
     controls = _thread_controls()

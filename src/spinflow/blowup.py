@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .charts import TORUS, GridChart, SpinorField
 from .conformal import rescale
@@ -119,7 +118,8 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
         envelope = np.minimum(envelope, env_r)
     if not qualifies.any():
         return []
-    labels, count = ndimage.label(qualifies, structure=np.ones((3, 3), dtype=int))
+    from scipy.ndimage import label
+    labels, count = label(qualifies, structure=np.ones((3, 3), dtype=int))
     if chart.kind == TORUS:
         labels = _merge_across_seams(labels, count)
     points = []

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError, PreconditionError
 
@@ -44,6 +43,15 @@ CYLINDER = "cylinder"
 OUTSIDE, INSIDE, BOUNDARY = 0, 1, 2
 
 SPIN_STRUCTURES = ("PP", "PA", "AP", "AA")
+
+
+def erode(mask: np.ndarray, full: bool = False) -> np.ndarray:
+    """Binary erosion of a 2-D boolean mask by the cross, or with ``full`` by
+    the 3x3 square; nodes off the array count as False."""
+    ny, nx = mask.shape
+    padded = np.pad(mask, 1)
+    return np.logical_and.reduce([padded[dy:dy + ny, dx:dx + nx] for dy in range(3)
+                                  for dx in range(3) if full or (dy - 1) * (dx - 1) == 0])
 
 
 def _validate_counts(nx, ny):
@@ -183,7 +191,7 @@ class GridChart:
             active = X * X + Y * Y <= radius * radius * (1.0 + 1e-12)
             m[:] = OUTSIDE
             m[active] = BOUNDARY
-            m[ndimage.binary_erosion(active)] = INSIDE
+            m[erode(active)] = INSIDE
         return m
 
     @cached_property

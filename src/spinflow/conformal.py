@@ -21,7 +21,6 @@ and demodulated at the sample points, so the seam carries no sign artifact.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .charts import CYLINDER, DISK, RECT, SPHERE, TORUS, GridChart, SpinorField
 from .errors import ConfigurationError, DecayError, OutOfDomainError, PreconditionError
@@ -50,6 +49,7 @@ def sample_field(psi: SpinorField, X, Y) -> np.ndarray:
     Torus charts wrap; bounded charts raise OutOfDomainError when a sample
     point leaves the grid (up to a 1e-9 cell slack for roundoff).
     """
+    from scipy.ndimage import map_coordinates
     chart = psi.chart
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
@@ -73,8 +73,8 @@ def sample_field(psi: SpinorField, X, Y) -> np.ndarray:
         for s in (0, 1):
             plane = values[:, :, i, s]
             out[..., i, s] = (
-                ndimage.map_coordinates(plane.real, coords, order=_SPLINE_ORDER, mode=mode)
-                + 1j * ndimage.map_coordinates(plane.imag, coords, order=_SPLINE_ORDER, mode=mode))
+                map_coordinates(plane.real, coords, order=_SPLINE_ORDER, mode=mode)
+                + 1j * map_coordinates(plane.imag, coords, order=_SPLINE_ORDER, mode=mode))
     if point_phase is not None:
         out *= point_phase(X, Y)[..., None, None]
     return out

@@ -36,13 +36,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
-import scipy.sparse as sp
-import scipy.sparse.linalg
-from scipy import ndimage
 
 from ._blas import one_blas_thread
-from .charts import DISK, RECT, TORUS, GridChart, SpinorField
+from .charts import DISK, RECT, TORUS, GridChart, SpinorField, erode
 from .dirac import _CACHE_CHARTS, diff_x, diff_y, dirac_inverse_spectral, torus_setup
 from .errors import ConfigurationError, DomainError, PreconditionError, SolverError
 from .fields import plane_wave_sum, smoothstep7
@@ -83,7 +79,7 @@ class GreenKernel:
 
 def _support_margin_check(f: SpinorField):
     act = f.chart.active
-    ring = act & ~ndimage.binary_erosion(act, iterations=2)
+    ring = act & ~erode(erode(act))
     mags = np.abs(f.values).max(axis=(2, 3))
     top = mags.max()
     if top > 0 and mags[ring].max() > 1e-13 * top:
@@ -104,6 +100,7 @@ def conv_transform(chart: GridChart, a: np.ndarray) -> np.ndarray:
     (``offset_grid``) zero-padded to ``next_fast_len(2n-1)`` per axis."""
     if chart.kind == TORUS:
         return np.fft.fft2(a)
+    import scipy.fft
     shape = (scipy.fft.next_fast_len(2 * chart.ny - 1),
              scipy.fft.next_fast_len(2 * chart.nx - 1))
     return scipy.fft.fft2(a, shape)
@@ -116,6 +113,7 @@ def conv_window(chart: GridChart, spectrum: np.ndarray) -> np.ndarray:
     out[t] = sum_s kernel[t - s + (n-1)] src[s]."""
     if chart.kind == TORUS:
         return np.fft.ifft2(spectrum)
+    import scipy.fft
     ny, nx = chart.ny, chart.nx
     return scipy.fft.ifft2(spectrum)[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
 
@@ -212,6 +210,7 @@ def _disk_system(chart: GridChart):
     node (-1 outside), and the flat node ids ``iy*nx + ix`` of the cell
     corners, shape (4, n_cells), in row order.
     """
+    from scipy.sparse import csr_matrix
     act = chart.active
     n_act = int(act.sum())
     idx = -np.ones((chart.ny, chart.nx), dtype=np.int64)
@@ -233,7 +232,7 @@ def _disk_system(chart: GridChart):
                            (2 * ring[:, None] + np.arange(2)).ravel()])
     vals = np.concatenate([np.broadcast_to(np.array(stencil), (n_cells, 2, 4)).ravel(),
                            np.full(2 * ring.size, 1.0 / chart.h)])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, 2 * n_act))
+    A = csr_matrix((vals, (rows, cols)), shape=(n_rows, 2 * n_act))
     return A, idx, corners
 
 
@@ -251,6 +250,7 @@ def _disk_factor(chart: GridChart):
     positive definite, so diagonal pivots are valid; small supernodes keep
     SuperLU's transient workspace down.
     """
+    import scipy.sparse.linalg
     B2 = _disk_system(chart)[0][:, 1::2]
     return scipy.sparse.linalg.splu(
         (B2.conj().T @ B2).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -281,6 +281,7 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     if trace.shape != (bnodes.shape[0], f.n, 2):
         raise PreconditionError(
             f"trace must have shape (n_boundary, n, 2) = {(bnodes.shape[0], f.n, 2)}")
+    import scipy.sparse.linalg  # noqa: F401  loads scipy's OpenBLAS before the pin
     with one_blas_thread():
         A, idx, corners = _disk_system(chart)
 

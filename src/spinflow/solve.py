@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from ._blas import one_blas_thread
 from .charts import TORUS, SpinorField
@@ -170,6 +169,7 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
     for step in range(1, max_steps + 1):
         if rnorm <= tol:
             break
+        import scipy.sparse.linalg  # after the break: a run that takes no step loads no scipy
 
         def matvec(vec):
             lin = spec.linearize(psi, SpinorField(chart, _real_unflatten(vec, shape)))

@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .charts import BOUNDARY, CYLINDER, GridChart, SpinorField
+from .charts import BOUNDARY, CYLINDER, GridChart, SpinorField, erode
 from .errors import ConfigurationError, PreconditionError
 from .spinors import pointwise_norm
 
@@ -221,7 +220,7 @@ def mean_curvature(mesh: SurfaceMesh):
         LX += _vertex_sums(Fg[:, b], pull, nv) - _vertex_sums(Fg[:, c], pull, nv)
 
     # interior = active 8-neighborhood, not meeting a degenerate face
-    interior = ndimage.binary_erosion(chart.active, np.ones((3, 3)))
+    interior = erode(chart.active, full=True)
 
     excluded = np.unique(F[degenerate]).tolist()
     H = np.full(nv, np.nan)

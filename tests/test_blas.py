@@ -1,11 +1,13 @@
 import os
+import subprocess
+import sys
 
 import numpy
 import pytest
-import scipy
+import scipy.sparse.linalg  # loads scipy's OpenBLAS: the pin binds only loaded libraries
 
 from spinflow import _blas
-from spinflow._blas import _thread_controls, one_blas_thread
+from spinflow._blas import _library_paths, _thread_controls, one_blas_thread
 
 # the pin only knows the manylinux wheels' layout, where each package bundles
 # its OpenBLAS in a sibling `<package>.libs/` directory; elsewhere it does
@@ -49,7 +51,7 @@ def test_missing_library_pins_neither(monkeypatch):
     real_glob = _blas.glob.glob
     monkeypatch.setattr(_blas.glob, "glob",
                         lambda p: [] if "numpy.libs" in p else real_glob(p))
-    _thread_controls.cache_clear()
+    _library_paths.cache_clear()
     try:
         for _, set_ in controls:
             set_(2)
@@ -57,6 +59,32 @@ def test_missing_library_pins_neither(monkeypatch):
         with one_blas_thread():
             assert [get() for get, _ in controls] == [2, 2]
     finally:
-        _thread_controls.cache_clear()
+        _library_paths.cache_clear()
         for (_, set_), count in zip(controls, saved):
             set_(count)
+
+
+_PIN_AFTER_IMPORT = """
+import ctypes, os, sys
+import spinflow
+from spinflow._blas import _library_paths, _thread_controls, one_blas_thread
+with one_blas_thread():
+    pinned = len(_thread_controls())
+scipy_blas = _library_paths()[1][0]
+try:
+    ctypes.CDLL(scipy_blas, mode=os.RTLD_NOLOAD)
+    loaded = True
+except OSError:
+    loaded = False
+print(pinned, loaded, any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+@wheel_layout
+def test_pin_loads_no_library():
+    # entering the pin binds numpy's library, which numpy loaded, and leaves
+    # scipy's unloaded: no scipy code ran, so none can run BLAS in the body
+    proc = subprocess.run([sys.executable, "-c", _PIN_AFTER_IMPORT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False", "False"]

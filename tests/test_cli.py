@@ -375,3 +375,32 @@ def test_exit_code_through_subprocess(tmp_path, name, code):
     proc = run_cli(argv)
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
+
+
+_LOADED_SCIPY = """
+import json, sys
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+from spinflow.cli import main
+imported = scipy_modules()
+assert main(["solve", "--config", sys.argv[1], "--out", sys.argv[2], "--seed", sys.argv[3]]) == 0
+print(json.dumps({"import": imported, "solve": scipy_modules()}))
+"""
+
+
+@pytest.mark.parametrize("seed,steps", [(2, 0), (1, 1)])
+def test_torus_solve_loads_scipy_only_for_a_newton_step(tmp_path, seed, steps):
+    # a fresh process: importing the CLI loads no scipy, and neither does a
+    # torus solve whose Newton stage takes no step; a step loads the solver
+    cfg = write_cfg(tmp_path / "c.cfg", "chart.nx = 32\nreaction.type = general_cubic\n"
+                                        "reaction.n = 2\nreaction.h = 1.0\n"
+                                        "solver.manufactured = true\n")
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, cfg, str(tmp_path), str(seed)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert json.loads((tmp_path / "solve_report.json").read_text())["newton"]["steps"] == steps
+    assert loaded["import"] == []
+    assert ("scipy.sparse.linalg" in loaded["solve"]) == (steps > 0)
+    if steps == 0:
+        assert loaded["solve"] == []

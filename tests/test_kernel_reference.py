@@ -12,6 +12,7 @@ loops of both seeded field builders.  Results must agree to 1e-13 of their maxim
 ``local_energy_grid`` once per field, radius and bisection step, ``ScalarH``
 against its elementwise formulas, and ``green_convolve`` against the
 per-slot transform products it made before the kernel transforms were cached.
+``charts.erode`` must equal ``scipy.ndimage.binary_erosion`` bit for bit.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy import ndimage
 
 from spinflow.blowup import (_merge_across_seams, _min_image_dist2, blowup_set,
                              extract_bubble, local_energy_grid)
-from spinflow.charts import DISK, TORUS, GridChart, SpinorField
+from spinflow.charts import DISK, TORUS, GridChart, SpinorField, erode
 from spinflow.conformal import rescale
 from spinflow.fields import (DEFAULT_MODES, bubble_profile_energy, planted_bubble,
                              smoothstep7, torus_mode_field)
@@ -425,3 +426,33 @@ def test_hoisted_local_energies(chart, center, lam0, ratio, radii):
     assert (ext.lambdas, ext.centers) == _ref_extract(seq, points[0], 1.0, 0.2)
     limit = rescale(seq[-1], ext.centers[-1], ext.lambdas[-1], ext.limit.chart)
     assert ext.limit.values.tobytes() == limit.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# mask erosion
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(17, 23), (8, 8), (1, 9), (9, 1), (1, 1)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("density", [0.5, 0.85, 1.0])
+def test_erode_matches_ndimage(shape, density):
+    # dense masks touch the array edge on every side; density 1 is all True
+    rng = np.random.default_rng([*shape, round(100 * density)])
+    for _ in range(25):
+        mask = rng.random(shape) < density
+        for got, want in [
+                (erode(mask), ndimage.binary_erosion(mask)),
+                (erode(erode(mask)), ndimage.binary_erosion(mask, iterations=2)),
+                (erode(mask, full=True), ndimage.binary_erosion(mask, np.ones((3, 3)))),
+                (erode(erode(mask, full=True), full=True),
+                 ndimage.binary_erosion(mask, np.ones((3, 3)), iterations=2))]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nx, radius", [(17, 1.0), (33, 0.73), (65, 1.0)])
+def test_disk_masks_match_ndimage(nx, radius):
+    # the inside nodes, and the interior that mean_curvature keeps
+    chart = GridChart.disk(nx, radius)
+    act = chart.active
+    assert np.array_equal(chart.inside, ndimage.binary_erosion(act))
+    assert np.array_equal(erode(act, full=True), ndimage.binary_erosion(act, np.ones((3, 3))))
