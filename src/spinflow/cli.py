@@ -83,7 +83,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, seed: int) -> int:
     seed_field = SpinorField.zeros(chart, spec.n)
     psi, prep = picard_solve(spec, seed_field, forcing=forcing,
                              damping=cfg["solver.damping"], tol=cfg["solver.tol"],
-                             max_iter=cfg["solver.max_iter"], guard=cfg["solver.guard"])
+                             max_iter=cfg["solver.max_iter"])
     report["picard"] = {
         "converged": prep.converged,
         "iterations": prep.iterations,

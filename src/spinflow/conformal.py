@@ -71,10 +71,8 @@ def sample_field(psi: SpinorField, X, Y) -> np.ndarray:
     coords = np.stack([iy, ix])
     for i in range(psi.n):
         for s in (0, 1):
-            plane = values[:, :, i, s]
-            out[..., i, s] = (
-                map_coordinates(plane.real, coords, order=_SPLINE_ORDER, mode=mode)
-                + 1j * map_coordinates(plane.imag, coords, order=_SPLINE_ORDER, mode=mode))
+            out[..., i, s] = map_coordinates(values[:, :, i, s], coords,
+                                             order=_SPLINE_ORDER, mode=mode)
     if point_phase is not None:
         out *= point_phase(X, Y)[..., None, None]
     return out

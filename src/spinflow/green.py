@@ -26,6 +26,10 @@ transforms are cached per chart.
 
 Both routes evaluate the same sums, so they must agree to roundoff.
 
+On the disk ``disk_solve`` imposes a boundary trace.  D = 2 [[0, dbar],
+[-d, 0]] and d = conj o dbar o conj, so slot 2 is one scalar problem for
+2 dbar (``_disk_system``) and slot 1 its conjugate problem for conj(psi1).
+
 ``dirac_inverse(chart)`` is the one place that chooses how to invert D for
 the solvers: the spectral inverse on a kernel-free torus, ``disk_solve`` with
 a boundary trace on the disk.  It rejects any other chart before a solve runs.
@@ -194,84 +198,75 @@ def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
 
 @lru_cache(maxsize=_CACHE_CHARTS)
 def _disk_system(chart: GridChart):
-    """Sparse first-order system for the disk boundary-value solve.
+    """Sparse scalar system ``B``: the box scheme of 2 dbar = Dx + i Dy that
+    ``disk_solve`` solves for slot 2 and, as its conjugate problem, slot 1.
 
-    The Dirac rows sit at cell centers (box scheme: corner differences at the
-    four cell corners, right-hand side averaged over the corners); node-based
-    centered differences would leave exact checkerboard modes in the kernel.
-    Unknown ordering: active nodes in C order, slot 1 then slot 2 per node.
+    Rows sit at cell centers (corner differences at the four cell corners,
+    right-hand side averaged over the corners); node-based centered
+    differences would leave exact checkerboard modes in the kernel.  One row
+    per full cell (``GridChart.cells``) in C order, over the corners (j,i),
+    (j,i+1), (j+1,i), (j+1,i+1); then one trace row per boundary ring node in
+    ring order, weighted by 1/h.  Columns: the active nodes in C order.
 
-    Row layout: two rows per full cell (``GridChart.cells``) in C order, first
-    ``(Dx + i Dy) psi2 = mean f1``, then ``-(Dx - i Dy) psi1 = mean f2``, each
-    over the corners (j,i), (j,i+1), (j+1,i), (j+1,i+1); then two trace rows
-    (slot 1, slot 2) per boundary ring node in ring order, weighted by 1/h.
-
-    Returns ``(A, idx, corners)``: the CSR matrix, the unknown index of each
-    node (-1 outside), and the flat node ids ``iy*nx + ix`` of the cell
-    corners, shape (4, n_cells), in row order.
+    Returns ``(B, corners)``: the CSR matrix and the flat node ids
+    ``iy*nx + ix`` of the cell corners, shape (4, n_cells), in row order.
     """
     from scipy.sparse import csr_matrix
-    act = chart.active
-    n_act = int(act.sum())
-    idx = -np.ones((chart.ny, chart.nx), dtype=np.int64)
-    idx[act] = np.arange(n_act)
+    nodes = np.flatnonzero(chart.active)                # column u is node nodes[u]
     jj, ii = np.nonzero(chart.cells)
     first = jj * chart.nx + ii                          # corner (j, i) of each cell
     corners = np.stack([first, first + 1, first + chart.nx, first + chart.nx + 1])
-    unknown = idx.ravel()[corners.T]                    # (n_cells, 4)
-    n_cells = unknown.shape[0]
+    ring = np.ravel_multi_index(chart.boundary_nodes.T, (chart.ny, chart.nx))
+    n_cells, n_rows = first.size, first.size + ring.size
     hx, hy = chart.hx, chart.hy
     cx, cy = (-1, +1, -1, +1), (-1, -1, +1, +1)
-    stencil = [[sx / (2 * hx) + 1j * sy / (2 * hy) for sx, sy in zip(cx, cy)],
-               [-(sx / (2 * hx) - 1j * sy / (2 * hy)) for sx, sy in zip(cx, cy)]]
-    ring = idx[chart.boundary_nodes[:, 0], chart.boundary_nodes[:, 1]]
-    n_rows = 2 * n_cells + 2 * ring.size
-    rows = np.concatenate([np.repeat(np.arange(2 * n_cells), 4),
-                           np.arange(2 * n_cells, n_rows)])
-    cols = np.concatenate([np.stack([2 * unknown + 1, 2 * unknown], axis=1).ravel(),
-                           (2 * ring[:, None] + np.arange(2)).ravel()])
-    vals = np.concatenate([np.broadcast_to(np.array(stencil), (n_cells, 2, 4)).ravel(),
-                           np.full(2 * ring.size, 1.0 / chart.h)])
-    A = csr_matrix((vals, (rows, cols)), shape=(n_rows, 2 * n_act))
-    return A, idx, corners
+    stencil = [sx / (2 * hx) + 1j * sy / (2 * hy) for sx, sy in zip(cx, cy)]
+    rows = np.concatenate([np.repeat(np.arange(n_cells), 4), np.arange(n_cells, n_rows)])
+    cols = np.searchsorted(nodes, np.concatenate([corners.T.ravel(), ring]))
+    vals = np.concatenate([np.tile(stencil, n_cells), np.full(ring.size, 1.0 / chart.h)])
+    return csr_matrix((vals, (rows, cols)), shape=(n_rows, nodes.size)), corners
 
 
-def _adjoint(A, v: np.ndarray) -> np.ndarray:
-    """A^H v through the free CSC view ``A.T``, without storing A^H."""
-    return (A.T @ v.conj()).conj()
+def _adjoint(B, v: np.ndarray) -> np.ndarray:
+    """B^H v through the free CSC view ``B.T``, without storing B^H."""
+    return (B.T @ v.conj()).conj()
+
+
+def _slots(M: np.ndarray, c: int) -> np.ndarray:
+    """View of columns c and n + c of a (rows, 2n) array: component c's two slots."""
+    return M.reshape(len(M), 2, -1)[:, :, c]
 
 
 @lru_cache(maxsize=_CACHE_CHARTS)
 def _disk_factor(chart: GridChart):
-    """SuperLU factor of ``M2 = B2^H B2``, B2 = A[:, 1::2] (slot-2 unknowns).
+    """SuperLU factor of ``B^H B`` for the scalar system B (``_disk_system``).
 
-    No row of A touches both slots, so A^H A is block diagonal and its slot-1
-    block is conj(M2): one factor of size n_act serves both.  M2 is Hermitian
-    positive definite, so diagonal pivots are valid; small supernodes keep
-    SuperLU's transient workspace down.
+    B^H B is Hermitian positive definite, so diagonal pivots are valid; small
+    supernodes keep SuperLU's transient workspace down.
     """
     import scipy.sparse.linalg
-    B2 = _disk_system(chart)[0][:, 1::2]
+    B = _disk_system(chart)[0]
     return scipy.sparse.linalg.splu(
-        (B2.conj().T @ B2).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        (B.conj().T @ B).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         relax=4, panel_size=4, options=dict(SymmetricMode=True))
 
 
 def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     """Solve D psi = f on the disk with psi = trace on the boundary ring.
 
-    The discrete first-order system (trace rows weighted by 1/h) is solved in
-    least squares through the normal equations, by the factor cached per chart
-    (``_disk_factor``) with iterative refinement by the same factor, every
-    component in one solve.  Convergence is measured on the normal-equations
-    residual |A^H (b - A x)| relative to |A^H b|; the least-squares residual
-    itself floors at the O(h^2) truncation level for data sampled from
-    continuum sources, and is reported alongside.  Refinement stops when every
-    component is at or below ``tol``, and raises SolverError with the residual
-    history when a refinement fails to lower the worst residual (a NaN
-    residual included).  Returns (psi, report); ``"iterations"`` is the
-    number of solves plus one.  BLAS runs at one thread, so the bytes do not
-    depend on the thread count.
+    Per component, slot 2 solves B u = (mean f1, trace2 / h) for the scalar
+    system B of ``_disk_system``, and slot 1 its conjugate problem
+    B u = (-conj(mean f2), conj(trace1) / h), psi1 = conj(u).  All 2n problems
+    are solved in least squares through the normal equations in one solve by
+    the factor cached per chart (``_disk_factor``), refined by the same factor.
+    A component converges on the normal-equations residual |B^H (d - B u)| of
+    its two slots relative to |B^H d|; the least-squares residual itself floors
+    at the O(h^2) truncation level for data sampled from continuum sources, and
+    is reported alongside.  Refinement stops when every component is at or
+    below ``tol``, and raises SolverError with the residual history when a
+    refinement fails to lower the worst residual (a NaN residual included).
+    Returns (psi, report); ``"iterations"`` is the number of solves plus one.
+    BLAS runs at one thread, so the bytes do not depend on the thread count.
     """
     chart = f.chart
     if chart.kind != DISK:
@@ -282,22 +277,26 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
         raise PreconditionError(
             f"trace must have shape (n_boundary, n, 2) = {(bnodes.shape[0], f.n, 2)}")
     import scipy.sparse.linalg  # noqa: F401  loads scipy's OpenBLAS before the pin
+    n = f.n
     with one_blas_thread():
-        A, idx, corners = _disk_system(chart)
+        B, corners = _disk_system(chart)
 
-        # right-hand sides, one column per component: corner means (the leading 0
-        # is a Python sum's start value, so four -0.0 corners give +0.0), then
-        # the weighted trace rows
-        c0, c1, c2, c3 = f.values.reshape(-1, f.n, 2)[corners]
-        rhs = np.concatenate([0.25 * (0 + c0 + c1 + c2 + c3), (1.0 / chart.h) * trace])
-        B = rhs.transpose(0, 2, 1).reshape(-1, f.n)
+        # right-hand sides: corner means (a Python sum, whose start value 0
+        # turns four -0.0 corners into +0.0), then the weighted trace rows,
+        # slot 2's data first in each row; column c of d is slot 2 of component
+        # c, column n + c slot 1's conjugate problem: conj, and -1 on cell rows
+        mean = 0.25 * sum(f.values.reshape(-1, n, 2)[corners])
+        rhs = np.concatenate([mean, (1.0 / chart.h) * trace[..., ::-1]])
+        d = rhs.transpose(0, 2, 1).reshape(-1, 2 * n)
+        np.conjugate(d[:, n:], out=d[:, n:])
+        np.negative(d[:corners.shape[1], n:], out=d[:corners.shape[1], n:])
 
-        # normal equations by the cached factor, both slots of every column in
-        # one solve, refined with the same factor while above tol
+        # normal equations by the cached factor, every column in one solve,
+        # refined with the same factor while above tol
         lu = _disk_factor(chart)
-        X = np.zeros((A.shape[1], B.shape[1]), np.complex128)
-        R = _adjoint(A, B)
-        snorm = [np.linalg.norm(R[:, c]) for c in range(B.shape[1])]
+        U = np.zeros((B.shape[1], 2 * n), np.complex128)
+        R = _adjoint(B, d)
+        snorm = [np.linalg.norm(_slots(R, c)) for c in range(n)]
         histories = [[] if s == 0 else [1.0] for s in snorm]
         # written so that a NaN residual counts as not converged and not falling
         while live := [c for c, h in enumerate(histories) if h and not h[-1] <= tol]:
@@ -305,18 +304,18 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
             if len(worst) > 1 and not worst[-1] < worst[-2]:
                 raise SolverError(f"disk_solve: relative normal residual {worst[-1]:.3e} "
                                   f"above tol after {len(worst) - 1} solves", worst)
-            sol = lu.solve(np.concatenate([R[1::2, live], R[0::2, live].conj()], axis=1))
-            X[1::2, live] += sol[:, :len(live)]
-            X[0::2, live] += sol[:, len(live):].conj()
-            R = _adjoint(A, B - A @ X)
+            cols = live + [n + c for c in live]
+            U[:, cols] += lu.solve(R[:, cols])
+            R = _adjoint(B, d - B @ U)
             for c in live:
-                histories[c].append(float(np.linalg.norm(R[:, c]) / snorm[c]))
+                histories[c].append(float(np.linalg.norm(_slots(R, c)) / snorm[c]))
 
-        ls_residuals = [float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
-                        if b.any() else 0.0 for x, b in zip(X.T, B.T)]
+        misfit = B @ U - d
+        ls_residuals = [float(np.linalg.norm(_slots(misfit, c)) / np.linalg.norm(_slots(d, c)))
+                        if _slots(d, c).any() else 0.0 for c in range(n)]
     out = np.zeros_like(f.values)
-    act = chart.active
-    out[act] = np.stack([X[2 * idx[act]], X[2 * idx[act] + 1]], axis=-1)
+    # conj gives an exact zero the imaginary part -0.0; 0 + makes it +0.0
+    out[chart.active] = np.stack([0 + U[:, n:].conj(), U[:, :n]], axis=-1)
     psi = SpinorField(chart, out)
     report = {"residual_histories": histories,
               "final_residual": max((h[-1] if h else 0.0) for h in histories),

@@ -6,8 +6,7 @@ exact spectral inverse on kernel-free torus spin structures, or the disk
 boundary-value solve with a fixed trace.  A chart it cannot serve is a
 ConfigurationError before the first sweep.  The map contracts in
 the small-energy regime, so theta starts at 1 and only halves, down to a
-floor, when an update fails to shrink.  The margin h0 * ||psi||_{L4}^2
-against the configured guard is tracked every sweep and flagged, never enforced.
+floor, when an update fails to shrink.
 
 Newton refinement linearizes the cubic term.  The derivative is only
 real-linear (Hermitian pairings conjugate one slot), so the linear solve runs
@@ -64,16 +63,13 @@ class PicardReport:
     update_norms: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     final_residual: float = np.inf
-    margin: float = 0.0
-    guard_flagged: bool = False
     damping_history: list = field(default_factory=list)
     reason: str = ""
 
 
 def picard_solve(spec: ReactionSpec, seed: SpinorField,
                  forcing: SpinorField | None = None, damping: float = 0.5,
-                 tol: float = 1e-8, max_iter: int = 400, guard: float = 0.5,
-                 trace=None) -> tuple:
+                 tol: float = 1e-8, max_iter: int = 400, trace=None) -> tuple:
     """Picard iteration for D psi = rhs(psi) + forcing.
 
     The damping theta starts at 1 and halves, never below ``damping``, after
@@ -121,9 +117,6 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
             theta = max(0.5 * theta, damping)
     report.reason = "converged" if report.converged else f"not converged after {max_iter} sweeps"
     report.final_residual = report.residual_norms[-1] if report.residual_norms else np.inf
-    block = smallness(spec.coefficient_bound(chart), energy(psi), guard)
-    report.margin = block["margin"]
-    report.guard_flagged = block["flagged"]
     return psi, report
 
 

@@ -45,6 +45,7 @@ def test_pin_restores_counts_when_body_raises():
             set_(count)
 
 
+@wheel_layout
 def test_missing_library_pins_neither(monkeypatch):
     # without numpy's library, scipy's keeps its count inside the pin too
     controls, saved = _thread_controls(), _counts()

@@ -16,7 +16,7 @@ from spinflow.green import (GreenKernel, _disk_system, dirac_inverse, disk_solve
 from spinflow.rng import SplitMix64
 from spinflow.spinors import scalar_lp_norm
 
-from conftest import rel_l2
+from conftest import _reference_rhs, _reference_system, rel_l2
 
 
 def boundary_trace_norm(chart, trace, p):
@@ -252,21 +252,27 @@ def _manufactured_solve_data(nx):
 class TestDiskSolveLU:
     @pytest.mark.parametrize("nx", (9, 17, 33, 65, 97))
     @pytest.mark.parametrize("radius", (1.0, 0.73))
-    def test_slots_decouple(self, nx, radius):
-        # the structure the single half-size factor relies on
-        A = _disk_system(GridChart.disk(nx, radius))[0]
-        even = A[:, 0::2].getnnz(axis=1) > 0
-        odd = A[:, 1::2].getnnz(axis=1) > 0
-        assert not np.any(even & odd)
-        M = (A.conj().T @ A).tocsr()
-        diff = M[0::2, 0::2] - M[1::2, 1::2].conj()
-        assert diff.count_nonzero() == 0
+    def test_slot_one_is_the_conjugate_problem(self, nx, radius):
+        # the two-slot system splits into the scalar system B for slot 2 and
+        # conj(B), cell rows negated, for slot 1: one factor serves both
+        chart = GridChart.disk(nx, radius)
+        B = _disk_system(chart)[0]
+        A = _reference_system(chart)
+        n_cells = int(chart.cells.sum())
+        ring = 2 * n_cells + 2 * np.arange(chart.boundary_nodes.shape[0])
+        rows2 = np.concatenate([2 * np.arange(n_cells), ring + 1])
+        rows1 = np.concatenate([2 * np.arange(n_cells) + 1, ring])
+        sign = np.concatenate([-np.ones(n_cells), np.ones(ring.size)])
+        assert (A[rows2][:, 1::2] != B).nnz == 0
+        assert (A[rows1][:, 0::2] != scipy.sparse.diags(sign) @ B.conj()).nnz == 0
+        assert A[rows2][:, 0::2].count_nonzero() == 0
+        assert A[rows1][:, 1::2].count_nonzero() == 0
 
     @pytest.mark.parametrize("nx, n", [(49, 1), (65, 1), (129, 1), (257, 1), (49, 2)],
                              ids=["49", "65", "129", "257", "49-two-components"])
     def test_matches_lsmr(self, nx, n):
-        # forming A^H A squares the condition number; check against LSMR on A,
-        # column by column when several components share one factor
+        # forming B^H B squares the condition number; check against LSMR on the
+        # two-slot system, component by component
         chart, f, trace = _manufactured_solve_data(nx)
         if n == 2:
             X, Y = chart.grid()
@@ -276,12 +282,10 @@ class TestDiskSolveLU:
             ring = np.stack([X ** 3, 1j * Y + 0.5], axis=-1)[bn[:, 0], bn[:, 1]]
             trace = np.concatenate([trace, ring[:, None, :]], axis=1)
         sol, _ = disk_solve(f, trace)
-        A, idx, corners = _disk_system(chart)
-        c0, c1, c2, c3 = f.values.reshape(-1, n, 2)[corners]
-        rhs = np.concatenate([0.25 * (c0 + c1 + c2 + c3), trace / chart.h])
+        A = _reference_system(chart)
         act = chart.active
         for c in range(n):
-            b = rhs[:, c, :].ravel()
+            b = _reference_rhs(chart, f, trace, c)
             x = scipy.sparse.linalg.lsmr(A, b, atol=1e-14, btol=1e-14,
                                          maxiter=20 * A.shape[1])[0]
             got = np.stack([sol.values[act, c, 0], sol.values[act, c, 1]], axis=-1).ravel()

@@ -72,7 +72,7 @@ class TestPicard:
         assert rep.converged
         assert rep.final_residual <= 1e-8
         assert np.abs(sol.values - psi_star.values).max() < 1e-7
-        assert not rep.guard_flagged
+        assert smallness_margin(spec, sol) < 0.5
 
     def test_general_cubic_recovery(self, torus64):
         rng = np.random.default_rng(5)

@@ -13,56 +13,50 @@ import scipy.sparse as sp
 from spinflow.charts import BOUNDARY, GridChart, SpinorField
 from spinflow.dirac import _derivative
 from spinflow.fields import enneper_field
-from spinflow.green import _disk_system, disk_solve
+from spinflow.green import _adjoint, _disk_factor, _disk_system, disk_solve
 from spinflow.weierstrass import (_default_basepoint, _triangulate, integrate_surface,
                                   weierstrass_form)
 
-from conftest import random_field, zero_outside
+from conftest import _full_cells, random_field, zero_outside
 
 CHARTS = [GridChart.disk(nx, r) for nx in (9, 13, 17, 33) for r in (1.0, 0.73)]
 
 
-def _full_cells(act):
-    ny, nx = act.shape
-    return [(j, i) for j in range(ny - 1) for i in range(nx - 1)
-            if act[j, i] and act[j, i + 1] and act[j + 1, i] and act[j + 1, i + 1]]
-
-
-def _reference_system(chart):
+def _reference_scalar_system(chart):
     act = chart.active
-    idx = -np.ones((chart.ny, chart.nx), dtype=np.int64)
-    idx[act] = np.arange(int(act.sum()))
+    col = {(int(j), int(i)): u for u, (j, i) in enumerate(zip(*np.nonzero(act)))}
     rows, cols, vals = [], [], []
     r = 0
     hx, hy = chart.hx, chart.hy
     for j, i in _full_cells(act):
         corners = ((j, i), (j, i + 1), (j + 1, i), (j + 1, i + 1))
-        for slot, sign in ((1, 1), (0, -1)):
-            for c, sx, sy in zip(corners, (-1, 1, -1, 1), (-1, -1, 1, 1)):
-                rows.append(r)
-                cols.append(2 * idx[c] + slot)
-                vals.append(sx / (2 * hx) + 1j * sy / (2 * hy) if sign > 0
-                            else -(sx / (2 * hx) - 1j * sy / (2 * hy)))
-            r += 1
-    for j, i in chart.boundary_nodes:
-        for s in (0, 1):
+        for c, sx, sy in zip(corners, (-1, 1, -1, 1), (-1, -1, 1, 1)):
             rows.append(r)
-            cols.append(2 * idx[j, i] + s)
-            vals.append(1.0 / chart.h)
-            r += 1
-    return sp.csr_matrix((np.asarray(vals, np.complex128), (rows, cols)),
-                         shape=(r, 2 * int(act.sum())))
+            cols.append(col[c])
+            vals.append(sx / (2 * hx) + 1j * sy / (2 * hy))
+        r += 1
+    for j, i in chart.boundary_nodes:
+        rows.append(r)
+        cols.append(col[int(j), int(i)])
+        vals.append(1.0 / chart.h)
+        r += 1
+    return sp.csr_matrix((np.asarray(vals, np.complex128), (rows, cols)), shape=(r, len(col)))
 
 
-def _reference_rhs(chart, f, trace, comp):
-    b = []
+def _reference_data(chart, f, trace):
+    """Right-hand sides of the scalar system, column c slot 2 of component c
+    and column n + c slot 1's conjugate problem."""
+    n = f.n
+    d = []
     for j, i in _full_cells(chart.active):
         corners = ((j, i), (j, i + 1), (j + 1, i), (j + 1, i + 1))
-        for s in (0, 1):
-            b.append(0.25 * sum(f.values[jj, ii, comp, s] for (jj, ii) in corners))
-    for k in range(2 * trace.shape[0]):
-        b.append((1.0 / chart.h) * trace[k // 2, comp, k % 2])
-    return np.asarray(b, np.complex128)
+        mean = [[0.25 * sum(f.values[jj, ii, c, s] for (jj, ii) in corners) for s in (0, 1)]
+                for c in range(n)]
+        d.append([m1 for m1, _ in mean] + [-np.conj(m2) for _, m2 in mean])
+    for k in range(trace.shape[0]):
+        d.append([(1.0 / chart.h) * trace[k, c, 1] for c in range(n)]
+                 + [np.conj((1.0 / chart.h) * trace[k, c, 0]) for c in range(n)])
+    return np.asarray(d, np.complex128)
 
 
 def _reference_ring(values, chart, axis, order):
@@ -122,11 +116,11 @@ def _same(a, b):
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda c: f"{c.nx}-{c.params[0]}")
 class TestAgainstLoops:
     def test_disk_system(self, chart):
-        A = _disk_system(chart)[0]
-        ref = _reference_system(chart)
-        _same(A.data, ref.data)
-        _same(A.indices, ref.indices)
-        _same(A.indptr, ref.indptr)
+        B = _disk_system(chart)[0]
+        ref = _reference_scalar_system(chart)
+        _same(B.data, ref.data)
+        _same(B.indices, ref.indices)
+        _same(B.indptr, ref.indptr)
 
     def test_disk_solve_rhs(self, chart):
         rng = np.random.default_rng(chart.nx)
@@ -135,17 +129,24 @@ class TestAgainstLoops:
         trace = (rng.standard_normal((chart.boundary_nodes.shape[0], 2, 2))
                  + 1j * rng.standard_normal((chart.boundary_nodes.shape[0], 2, 2)))
         psi, rep = disk_solve(f, trace, tol=1e-6)
-        A, idx, _ = _disk_system(chart)
+        assert rep["iterations"] == 2                  # one solve, no refinement
+        B = _disk_system(chart)[0]
+        d = _reference_data(chart, f, trace)
+        U = _disk_factor(chart).solve(_adjoint(B, d))
         act = chart.active
-        ls = []
-        for comp in range(2):
-            x = np.zeros(A.shape[1], np.complex128)
-            x[2 * idx[act]] = psi.values[act, comp, 0]
-            x[2 * idx[act] + 1] = psi.values[act, comp, 1]
-            b = _reference_rhs(chart, f, trace, comp)
-            ls.append(float(np.linalg.norm(A @ x - b) / np.linalg.norm(b)))
-        # the reported residual is taken against the solve's own right-hand side
-        assert rep["least_squares_residual"] == max(ls)
+        want = np.zeros_like(psi.values)
+        for u, (j, i) in enumerate(zip(*np.nonzero(act))):
+            for c in range(2):
+                want[j, i, c] = (np.conj(U[u, 2 + c]), U[u, c])
+        _same(psi.values, want)
+        # the reported residual is the misfit of psi in the loop-built system,
+        # both slots of a component in one norm, slot 2 then slot 1 per row
+        V = np.concatenate([psi.values[act, :, 1], psi.values[act, :, 0].conj()], axis=1)
+        misfit = _reference_scalar_system(chart) @ V - d
+        assert rep["least_squares_residual"] == max(
+            float(np.linalg.norm(np.column_stack([misfit[:, c], misfit[:, 2 + c]]))
+                  / np.linalg.norm(np.column_stack([d[:, c], d[:, 2 + c]])))
+            for c in range(2))
 
     @pytest.mark.parametrize("axis, order", [(0, 1), (1, 1), (0, 2), (1, 2)])
     def test_ring_stencils(self, chart, axis, order):

@@ -28,9 +28,10 @@ Newton entry its step count.
 
 On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
 
-* ``green.disk_solve`` cold: each timed call follows
-  ``_disk_factor.cache_clear()``, so it pays for the SuperLU factor;
-* ``green.disk_solve`` warm, with the factor cached;
+* ``green.disk_solve`` cold: each timed call follows clearing the caches of
+  ``_disk_system`` and ``_disk_factor``, so it pays for building the sparse
+  system and its SuperLU factor;
+* ``green.disk_solve`` warm, with both cached;
 * ``green.green_convolve`` on its FFT route;
 * ``green.windowed_mode_field`` itself, whose cost is the matrix product in
   ``fields.plane_wave_sum``;
@@ -86,7 +87,8 @@ from spinflow.config import parse_config
 from spinflow.dirac import dirac_apply, dirac_inverse_spectral
 from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubble,
                              torus_mode_field)
-from spinflow.green import _disk_factor, disk_solve, green_convolve, windowed_mode_field
+from spinflow.green import (_disk_factor, _disk_system, disk_solve, green_convolve,
+                            windowed_mode_field)
 from spinflow.reactions import ScalarH, _contract
 from spinflow.rng import SplitMix64
 from spinflow.solve import newton_refine, picard_solve
@@ -178,6 +180,11 @@ def measure(size: int, repeats: int) -> dict:
     return out
 
 
+def _clear_disk_caches():
+    _disk_system.cache_clear()
+    _disk_factor.cache_clear()
+
+
 def measure_disk(nx: int, repeats: int) -> dict:
     chart = GridChart.disk(nx, 1.0)
     f = windowed_mode_field(chart, SplitMix64(SEED))
@@ -189,7 +196,7 @@ def measure_disk(nx: int, repeats: int) -> dict:
     spec = ScalarH(0.4)
     return {
         "green.disk_solve.cold": _time(lambda: disk_solve(f, trace), repeats,
-                                       before=_disk_factor.cache_clear),
+                                       before=_clear_disk_caches),
         "green.disk_solve.warm": _time(lambda: disk_solve(f, trace), repeats),
         "green.green_convolve.fft": _time(lambda: green_convolve(f), repeats),
         "green.windowed_mode_field": _time(
