@@ -7,6 +7,10 @@ over the last half of the finite sequence; the limit field is the last
 element.  A blow-up point is the node nearest the centroid of its cluster's
 top plateau (envelope values that differ only by roundoff tie); other ties
 resolve to the lexicographically smallest (iy, ix) node index.
+
+Local energies convolve a field's |psi|^4 density with disk stamps, each
+transformed once per tail member.  Of scipy only ``scipy.ndimage`` loads: for
+cluster labels and the rescaled bubble limit; seam merging is numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import TORUS, GridChart, SpinorField
+from .charts import DISK, TORUS, GridChart, SpinorField
 from .conformal import rescale
 from .errors import (ConfigurationError, DegenerateFitError, ExtractionError,
                      PreconditionError)
@@ -38,13 +42,17 @@ def _density_fft(psi: SpinorField) -> np.ndarray:
     return conv_transform(psi.chart, pointwise_norm(psi) ** 4 * psi.chart.weights)
 
 
-def _stamp_fft(chart: GridChart, radius: float) -> np.ndarray:
-    """``green.conv_transform`` of the indicator of B(0, radius), sampled on a
-    node grid around node (0, 0) on the torus, else on the offset grid
-    (``green.offset_grid``) that ``conv_window`` pairs with node grids."""
+def _stamp_dist2(chart: GridChart) -> np.ndarray:
+    """Squared offsets that stamps are cut from: min-image from node (0, 0) on
+    the torus, else the ``green.offset_grid`` that ``conv_window`` expects."""
     dx, dy = (chart.min_image_offset(chart.xs[0], chart.ys[0]) if chart.kind == TORUS
               else offset_grid(chart))
-    return conv_transform(chart, (dx * dx + dy * dy <= radius * radius).astype(float))
+    return dx * dx + dy * dy
+
+
+def _stamp_fft(chart: GridChart, radius: float) -> np.ndarray:
+    """``green.conv_transform`` of the indicator of B(0, radius)."""
+    return conv_transform(chart, (_stamp_dist2(chart) <= radius * radius).astype(float))
 
 
 def _disk_energy(chart: GridChart, dens_fft: np.ndarray, stamp_fft: np.ndarray) -> np.ndarray:
@@ -70,19 +78,20 @@ class BlowupPoint:
 
 def _merge_across_seams(labels: np.ndarray, count: int) -> np.ndarray:
     """Relabel torus clusters so that clusters touching across a seam share a
-    label: 8-neighbours, so a diagonal step across the seam counts."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
+    label: 8-neighbours, so a diagonal step across the seam counts.  Min-label
+    propagation with pointer jumping; numbering need not be consecutive."""
     seams = [(labels[0], np.roll(labels[-1], d)) for d in (-1, 0, 1)]
     seams += [(labels[:, 0], np.roll(labels[:, -1], d)) for d in (-1, 0, 1)]
     a = np.concatenate([s[0] for s in seams])
     b = np.concatenate([s[1] for s in seams])
     touch = (a > 0) & (b > 0)
-    graph = coo_matrix((np.ones(int(touch.sum())), (a[touch], b[touch])),
-                       shape=(count + 1, count + 1))
-    _, component = connected_components(graph, directed=False)
-    return np.where(labels > 0, component[labels] + 1, 0)
+    a, b = np.r_[a[touch], b[touch]], np.r_[b[touch], a[touch]]
+    root, prev = np.arange(count + 1), None
+    while not np.array_equal(root, prev):
+        prev, root = root, root.copy()
+        np.minimum.at(root, a, prev[b])
+        root = root[root]
+    return root[labels]
 
 
 def _tail(sequence):
@@ -108,14 +117,13 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
     _check_same_chart(sequence)
     chart = sequence[0].chart
     tail = _tail(sequence)
-    envelope = np.full((chart.ny, chart.nx), np.inf)
-    qualifies = chart.active.copy()
-    dens_ffts = [_density_fft(f) for f in tail]
-    for r in radii:
-        stamp_fft = _stamp_fft(chart, r)
-        env_r = np.min([_disk_energy(chart, d, stamp_fft) for d in dens_ffts], axis=0)
-        qualifies &= env_r >= epsilon
-        envelope = np.minimum(envelope, env_r)
+    stamp_ffts = [_stamp_fft(chart, r) for r in radii]
+    env = np.full((len(radii), chart.ny, chart.nx), np.inf)
+    for dens_fft in map(_density_fft, tail):
+        for env_r, stamp_fft in zip(env, stamp_ffts):
+            np.minimum(env_r, _disk_energy(chart, dens_fft, stamp_fft), out=env_r)
+    qualifies = chart.active & (env >= epsilon).all(axis=0)
+    envelope = env.min(axis=0)
     if not qualifies.any():
         return []
     from scipy.ndimage import label
@@ -161,15 +169,22 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
     tol = epsilon / 100.0
 
     tail = _tail(sequence)
+    dist2 = _stamp_dist2(chart)
     lambdas, centers = [], []
     for m, f in enumerate(tail):
         dens_fft = _density_fft(f)
+        peaks = {}
 
         def peak(lam):
-            grid = np.where(window, _disk_energy(chart, dens_fft, _stamp_fft(chart, lam)),
-                            -np.inf)
-            k = int(np.argmax(grid))
-            return grid.flat[k], np.unravel_index(k, grid.shape)
+            # stamps grow with lam, so a stamp's node count identifies it
+            stamp = dist2 <= lam * lam
+            key = int(np.count_nonzero(stamp))
+            if key not in peaks:
+                stamp_fft = conv_transform(chart, stamp.astype(float))
+                grid = np.where(window, _disk_energy(chart, dens_fft, stamp_fft), -np.inf)
+                k = int(np.argmax(grid))
+                peaks[key] = grid.flat[k], np.unravel_index(k, grid.shape)
+            return peaks[key]
 
         lo, hi = 2.0 * chart.h, search_radius
         e_lo, _ = peak(lo)
@@ -203,7 +218,8 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
 
 
 def neck_energy(psi: SpinorField, center, delta: float, R: float, lam: float) -> float:
-    """Energy over the annulus lam R <= |x - center| <= delta."""
+    """Energy over the annulus lam R <= |x - center| <= delta, which must lie
+    in the chart: on a disk delta <= radius - |center|, else the nearest edge."""
     if lam * R >= delta:
         raise PreconditionError("annulus is empty: need lam * R < delta")
     chart = psi.chart
@@ -211,8 +227,9 @@ def neck_energy(psi: SpinorField, center, delta: float, R: float, lam: float) ->
     inner, outer = (lam * R) ** 2, delta ** 2
     region = (d2 >= inner) & (d2 <= outer) & chart.active
     if chart.kind != TORUS:
-        rmax = min(chart.xs[-1] - center[0], center[0] - chart.xs[0],
-                   chart.ys[-1] - center[1], center[1] - chart.ys[0])
+        rmax = (chart.params[0] - float(np.hypot(center[0], center[1])) if chart.kind == DISK
+                else min(chart.xs[-1] - center[0], center[0] - chart.xs[0],
+                         chart.ys[-1] - center[1], center[1] - chart.ys[0]))
         if delta > rmax + 1e-12:
             raise PreconditionError("annulus leaves the chart")
     return energy(psi, region)
@@ -272,6 +289,7 @@ class EnergyLedger:
     bubbles: tuple              # BubbleEntry, grouped by point
     defect: float
     energy_bound: float         # max energy over the sequence
+    energies: tuple             # energy of each sequence field
 
     def bubble_total(self) -> float:
         return float(sum(b.energy for b in self.bubbles))
@@ -293,9 +311,8 @@ def ledger_assemble(sequence, background: SpinorField, bubbles) -> EnergyLedger:
         entries.append(BubbleEntry(tuple(point), float(scale),
                                    (float(center[0]), float(center[1])), e))
     entries.sort(key=lambda b: b.point)
-    total_limit = energy(sequence[-1])
+    energies = tuple(energy(f) for f in sequence)
     background_e = energy(background)
-    bubble_sum = float(sum(b.energy for b in entries))
-    defect = total_limit - background_e - bubble_sum
-    return EnergyLedger(total_limit, background_e, tuple(entries), defect,
-                        max(energy(f) for f in sequence))
+    defect = energies[-1] - background_e - float(sum(b.energy for b in entries))
+    return EnergyLedger(energies[-1], background_e, tuple(entries), defect,
+                        max(energies), energies)

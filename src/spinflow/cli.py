@@ -201,7 +201,7 @@ def _cmd_blowup(cfg: RunConfig, out_dir: str, field_paths, background_path) -> i
         "epsilon": eps,
         "radii": list(radii),
         "sequence_length": len(sequence),
-        "sequence_energies": [energy(f) for f in sequence],
+        "sequence_energies": list(ledger.energies),
         "points": point_reports,
         "ledger": {
             "total_limit": ledger.total_limit,

@@ -233,6 +233,17 @@ class TestNeckEnergy:
         with pytest.raises(PreconditionError):
             neck_energy(psi, (0.5, 0.5), 0.05, 2.0, 0.1)
 
+    @pytest.mark.parametrize("center, delta", [((0.5, 0.5), 0.45), ((0.5, 0.0), 0.55)])
+    def test_annulus_leaving_the_disk_rejected(self, center, delta):
+        # off the axis the unit disk's rim is nearer than its bounding square:
+        # at (0.5, 0.5) it is 1 - sqrt(0.5) ~ 0.293 away, the square 0.5
+        chart = GridChart.disk(65)
+        psi = SpinorField(chart, np.where(chart.active[..., None, None], 1.0 + 0j,
+                                          np.zeros((65, 65, 1, 2), complex)))
+        with pytest.raises(PreconditionError, match="annulus leaves the chart"):
+            neck_energy(psi, center, delta, 2.0, 0.01)
+        assert neck_energy(psi, center, 0.25, 2.0, 0.01) > 0.0
+
 
 class TestDecayProfile:
     def test_smooth_solution_positive_exponent(self):
@@ -289,6 +300,8 @@ class TestLedger:
         led = ledger_assemble(seq, bg, [((96, 96), lams[-1], (0.75, 0.75), 1.1)])
         assert abs(led.defect) <= 0.01 * led.total_limit
         assert led.energy_bound == max(energy(f) for f in seq)
+        assert led.energies == tuple(energy(f) for f in seq)
+        assert led.total_limit == led.energies[-1]
 
     def test_three_bubbles_two_points_grouping(self, torus128):
         # two bubbles at p1 with disjoint supports (Gaussian core inside a

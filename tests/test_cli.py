@@ -383,9 +383,18 @@ def scipy_modules():
     return [m for m in sys.modules if m.split(".")[0] == "scipy"]
 from spinflow.cli import main
 imported = scipy_modules()
-assert main(["solve", "--config", sys.argv[1], "--out", sys.argv[2], "--seed", sys.argv[3]]) == 0
-print(json.dumps({"import": imported, "solve": scipy_modules()}))
+assert main(sys.argv[1:]) == 0
+print(json.dumps({"import": imported, "run": scipy_modules()}))
 """
+
+
+def _loaded_scipy(argv):
+    """scipy modules loaded in a fresh process by importing the CLI, and after
+    running ``argv`` through it."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("seed,steps", [(2, 0), (1, 1)])
@@ -395,12 +404,32 @@ def test_torus_solve_loads_scipy_only_for_a_newton_step(tmp_path, seed, steps):
     cfg = write_cfg(tmp_path / "c.cfg", "chart.nx = 32\nreaction.type = general_cubic\n"
                                         "reaction.n = 2\nreaction.h = 1.0\n"
                                         "solver.manufactured = true\n")
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, cfg, str(tmp_path), str(seed)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded = _loaded_scipy(["solve", "--config", cfg, "--out", str(tmp_path),
+                            "--seed", str(seed)])
     assert json.loads((tmp_path / "solve_report.json").read_text())["newton"]["steps"] == steps
     assert loaded["import"] == []
-    assert ("scipy.sparse.linalg" in loaded["solve"]) == (steps > 0)
+    assert ("scipy.sparse.linalg" in loaded["run"]) == (steps > 0)
     if steps == 0:
-        assert loaded["solve"] == []
+        assert loaded["run"] == []
+
+
+def test_blowup_loads_no_scipy_sparse(tmp_path):
+    # a fresh process: blowup labels clusters and rescales the bubble limit
+    # with scipy.ndimage, and merges clusters across the seams without
+    # scipy.sparse
+    chart = GridChart.torus(64, spin_structure="PP")
+    amp = (1.1 / bubble_profile_energy(1.0)) ** 0.25
+    paths = []
+    for m in range(6):
+        p = tmp_path / f"seq{m}.spnf"
+        write_field(p, SpinorField(chart, planted_bubble(chart, (0.5, 0.5),
+                                                         0.25 * 0.9 ** m, amp)))
+        paths.append(str(p))
+    cfg = write_cfg(tmp_path / "c.cfg", "analysis.epsilon = 1.0\nanalysis.radii = 0.25, 0.2\n"
+                                        "analysis.search_radius = 0.25\n")
+    loaded = _loaded_scipy(["blowup", "--config", cfg, "--fields", *paths,
+                            "--out", str(tmp_path)])
+    assert len(json.loads((tmp_path / "blowup_report.json").read_text())["points"]) == 1
+    assert loaded["import"] == []
+    assert "scipy.ndimage" in loaded["run"]
+    assert [m for m in loaded["run"] if m.startswith("scipy.sparse")] == []

@@ -12,13 +12,18 @@ loops of both seeded field builders.  Results must agree to 1e-13 of their maxim
 ``local_energy_grid`` once per field, radius and bisection step, ``ScalarH``
 against its elementwise formulas, and ``green_convolve`` against the
 per-slot transform products it made before the kernel transforms were cached.
-``charts.erode`` must equal ``scipy.ndimage.binary_erosion`` bit for bit.
+``charts.erode`` must equal ``scipy.ndimage.binary_erosion`` bit for bit, and
+``_merge_across_seams`` must group labels as the ``connected_components``
+graph it replaced.
 """
 
 import numpy as np
 import pytest
 import scipy.fft
 from scipy import ndimage
+
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from spinflow.blowup import (_merge_across_seams, _min_image_dist2, blowup_set,
                              extract_bubble, local_energy_grid)
@@ -354,6 +359,19 @@ def test_lp_norm_bit_identical(chart, p):
 # local energies with one density transform per tail member
 # ---------------------------------------------------------------------------
 
+def _ref_merge_across_seams(labels, count):
+    """``_merge_across_seams`` through a sparse graph of the seam pairs."""
+    seams = [(labels[0], np.roll(labels[-1], d)) for d in (-1, 0, 1)]
+    seams += [(labels[:, 0], np.roll(labels[:, -1], d)) for d in (-1, 0, 1)]
+    a = np.concatenate([s[0] for s in seams])
+    b = np.concatenate([s[1] for s in seams])
+    touch = (a > 0) & (b > 0)
+    graph = coo_matrix((np.ones(int(touch.sum())), (a[touch], b[touch])),
+                       shape=(count + 1, count + 1))
+    _, component = connected_components(graph, directed=False)
+    return np.where(labels > 0, component[labels] + 1, 0)
+
+
 def _ref_blowup_nodes(seq, eps, radii):
     """``blowup_set`` with one ``local_energy_grid`` call per field and radius."""
     chart = seq[0].chart
@@ -366,7 +384,7 @@ def _ref_blowup_nodes(seq, eps, radii):
         envelope = np.minimum(envelope, env_r)
     labels, count = ndimage.label(qualifies, structure=np.ones((3, 3), dtype=int))
     if chart.kind == TORUS:
-        labels = _merge_across_seams(labels, count)
+        labels = _ref_merge_across_seams(labels, count)
     out = []
     for lab in np.unique(labels[labels > 0]):
         nodes = np.argwhere(labels == lab)
@@ -426,6 +444,59 @@ def test_hoisted_local_energies(chart, center, lam0, ratio, radii):
     assert (ext.lambdas, ext.centers) == _ref_extract(seq, points[0], 1.0, 0.2)
     limit = rescale(seq[-1], ext.centers[-1], ext.lambdas[-1], ext.limit.chart)
     assert ext.limit.values.tobytes() == limit.values.tobytes()
+
+
+def _same_grouping(a, b):
+    """Whether two label grids split the same nodes into the same clusters."""
+    on = a > 0
+    if not np.array_equal(on, b > 0):
+        return False
+    pairs = np.unique(np.stack([a[on], b[on]]), axis=1)
+    return pairs.shape[1] == np.unique(a[on]).size == np.unique(b[on]).size
+
+
+def _diagonal_path(ny, nx, steps):
+    """A diagonal path (k mod ny, k mod nx) that wraps both seams; its in-grid
+    pieces touch only diagonally across a seam, and their C-order labels do
+    not follow the path, so merging takes several rounds."""
+    mask = np.zeros((ny, nx), bool)
+    k = np.arange(steps)
+    mask[k % ny, k % nx] = True
+    return mask
+
+
+def _diagonal_contacts(ny, nx):
+    """Single nodes that touch only diagonally: across the bottom seam, across
+    the right seam, and across the corner."""
+    mask = np.zeros((ny, nx), bool)
+    for j, i in ((0, 3), (ny - 1, 4), (3, 0), (4, nx - 1), (0, 0), (ny - 1, nx - 1)):
+        mask[j, i] = True
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (13, 21), (2, 7), (1, 9), (9, 1)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("density", [0.2, 0.35, 0.5])
+def test_seam_merge_matches_connected_components(shape, density):
+    rng = np.random.default_rng([*shape, round(100 * density)])
+    for _ in range(20):
+        labels, count = ndimage.label(rng.random(shape) < density,
+                                      structure=np.ones((3, 3), dtype=int))
+        assert _same_grouping(_merge_across_seams(labels, count),
+                              _ref_merge_across_seams(labels, count))
+
+
+@pytest.mark.parametrize("mask, clusters", [
+    (_diagonal_contacts(9, 11), 3),
+    (_diagonal_path(10, 25, 48), 1),
+    (_diagonal_path(25, 10, 48), 1),
+], ids=["diagonal", "path-10x25", "path-25x10"])
+def test_seam_merge_chains(mask, clusters):
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    merged = _merge_across_seams(labels, count)
+    assert count >= 4
+    assert np.unique(merged[merged > 0]).size == clusters
+    assert _same_grouping(merged, _ref_merge_across_seams(labels, count))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Per-layer timings of the Dirac operators, the torus solve path, the disk
 Green layer and the analysis layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_16.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_22.json
 
 On an AA torus with n = 2 at 128^2, 192^2 and 256^2 it times
 ``dirac.dirac_apply`` in FD and in spectral mode and
@@ -50,6 +50,9 @@ at scales 0.17 * 0.88^m, it times:
 * ``blowup.local_energy_grid`` of the last field at radius 0.14;
 * ``blowup.blowup_set`` with epsilon 1 and radii 0.16, 0.14, 0.125;
 * ``blowup.extract_bubble`` of the point found, search radius 0.2.
+
+The last two also record the tracemalloc peak of one warm call
+(``peak_bytes``).
 
 On the square [-1, 1]^2 at 129 and 257 nodes with ``enneper_field`` of scale
 0.9 it times ``weierstrass.integrate_surface``, ``weierstrass.mean_curvature``
@@ -212,12 +215,14 @@ def measure_blowup(size: int, repeats: int) -> dict:
     seq = [SpinorField(chart, planted_bubble(chart, (0.3, 0.7), 0.17 * 0.88 ** m, amp))
            for m in range(8)]
     [point] = blowup_set(seq, 1.0, RADII)
-    return {
-        "blowup.local_energy_grid": _time(lambda: local_energy_grid(seq[-1], 0.14), repeats),
-        "blowup.blowup_set": _time(lambda: blowup_set(seq, 1.0, RADII), repeats),
-        "blowup.extract_bubble": _time(
-            lambda: extract_bubble(seq, point, 1.0, search_radius=0.2), repeats),
-    }
+    out = {"blowup.local_energy_grid": _time(lambda: local_energy_grid(seq[-1], 0.14),
+                                             repeats)}
+    for name, fn in (("blowup.blowup_set", lambda: blowup_set(seq, 1.0, RADII)),
+                     ("blowup.extract_bubble",
+                      lambda: extract_bubble(seq, point, 1.0, search_radius=0.2))):
+        out[name] = _time(fn, repeats)
+        out[name]["peak_bytes"] = _peak_bytes(fn)
+    return out
 
 
 def measure_surface(nx: int, repeats: int) -> dict:
