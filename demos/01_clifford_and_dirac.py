@@ -11,13 +11,13 @@ import numpy as np
 from spinflow.charts import GridChart, SpinorField
 from spinflow.dirac import (dirac_apply, symbol_report, weitzenboeck_residual)
 from spinflow.fields import torus_mode_field
-from spinflow.spinors import CliffordRep, chirality_project, clifford_multiply
+from spinflow.spinors import (GAMMA, SIGMA1, SIGMA2, chirality_project,
+                              clifford_defect, clifford_multiply)
 
-rep = CliffordRep.standard()
-print("sigma1 =\n", rep.sigma1)
-print("sigma2 =\n", rep.sigma2)
-print("chirality = i sigma1 sigma2 =", np.diag(rep.chirality).real)
-print("worst algebra defect:", rep.max_defect())
+print("sigma1 =\n", SIGMA1)
+print("sigma2 =\n", SIGMA2)
+print("chirality = i sigma1 sigma2 =", np.diag(GAMMA).real)
+print("worst algebra defect:", clifford_defect())
 
 chart = GridChart.torus(64, spin_structure="PP")
 basis = SpinorField.zeros(chart, 1)

@@ -12,14 +12,12 @@ import numpy as np
 from spinflow.charts import GridChart, SpinorField
 from spinflow.dirac import dirac_apply
 from spinflow.fields import compact_bump_field
-from spinflow.green import (GreenKernel, disk_solve, estimate_ratio,
-                            green_convolve)
+from spinflow.green import disk_solve, estimate_ratio, green_convolve, kernel_matrix
 from spinflow.spinors import scalar_lp_norm
 
-kernel = GreenKernel()
-print("K(0.3, -0.4) =\n", kernel.matrix(0.3, -0.4))
+print("K(0.3, -0.4) =\n", kernel_matrix(0.3, -0.4))
 print("antisymmetry |K(-x) + K(x)| =",
-      np.abs(kernel.matrix(-0.3, 0.4) + kernel.matrix(0.3, -0.4)).max())
+      np.abs(kernel_matrix(-0.3, 0.4) + kernel_matrix(0.3, -0.4)).max())
 
 print("\nmanufactured recovery: w = K * (D psi_c) should return psi_c")
 for nx in (65, 129, 257):

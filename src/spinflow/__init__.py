@@ -24,21 +24,21 @@ from .charts import GridChart, SpinorField
 from .conformal import rescale, sphere_transfer, to_cylinder
 from .dirac import (dirac_apply, dirac_inverse_spectral, laplace_apply,
                     symbol_report, weitzenboeck_residual)
-from .green import GreenKernel, disk_solve, estimate_ratio, green_convolve
+from .green import disk_solve, estimate_ratio, green_convolve, kernel_matrix
 from .reactions import ChiralUV, CurvatureCubic, GeneralCubic, ReactionSpec, ScalarH
 from .solve import newton_refine, picard_solve, residual, smallness_margin
-from .spinors import (CliffordRep, chirality_project, clifford_multiply,
+from .spinors import (chirality_project, clifford_defect, clifford_multiply,
                       energy, lp_norm, pointwise_norm)
 from .weierstrass import (SurfaceMesh, integrate_surface, induced_metric_residual,
                           mean_curvature, mesh_area, weierstrass_form)
 
 __all__ = [
     "GridChart", "SpinorField",
-    "CliffordRep", "clifford_multiply", "chirality_project",
+    "clifford_defect", "clifford_multiply", "chirality_project",
     "pointwise_norm", "energy", "lp_norm",
     "dirac_apply", "laplace_apply", "weitzenboeck_residual",
     "dirac_inverse_spectral", "symbol_report",
-    "GreenKernel", "green_convolve", "disk_solve", "estimate_ratio",
+    "kernel_matrix", "green_convolve", "disk_solve", "estimate_ratio",
     "ReactionSpec", "ScalarH", "GeneralCubic", "CurvatureCubic", "ChiralUV",
     "residual", "picard_solve", "newton_refine", "smallness_margin",
     "rescale", "to_cylinder", "sphere_transfer",

@@ -153,16 +153,14 @@ class BubbleExtraction:
 
 
 def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
-                   search_radius: float | None = None) -> BubbleExtraction:
-    """Per tail member: the center maximizing disk energy and the scale at
-    which that max equals epsilon/2 (bisection, tolerance epsilon/100), plus
+                   search_radius: float) -> BubbleExtraction:
+    """Per tail member: the center within ``search_radius`` of the point that
+    maximizes disk energy, and the scale, at most ``search_radius``, at which
+    that max equals epsilon/2 (bisection, tolerance epsilon/100), plus
     the finite-sequence limit: the last member rescaled at its center and
     scale onto a radius-4 disk of min(nx, 129) nodes, rounded to odd."""
     _check_same_chart(sequence)
     chart = sequence[0].chart
-    if search_radius is None:
-        search_radius = 0.25 * (min(chart.params) if chart.kind == TORUS else
-                                min(chart.xs[-1] - chart.xs[0], chart.ys[-1] - chart.ys[0]))
     window = _min_image_dist2(chart, *point.location) <= search_radius ** 2
     window &= chart.active
     target_half = epsilon / 2.0
@@ -298,18 +296,17 @@ class EnergyLedger:
 def ledger_assemble(sequence, background: SpinorField, bubbles) -> EnergyLedger:
     """Assemble the energy identity ledger.
 
-    ``bubbles`` is an iterable of (point, scale, center, field-or-energy).
-    The limit of the sequence energies is realized by the last element.  The
-    defect is reported as computed; it is never zeroed.
+    ``bubbles`` is an iterable of (point, scale, center, energy).  The limit
+    of the sequence energies is realized by the last element.  The defect is
+    reported as computed; it is never zeroed.
     """
     _check_same_chart(sequence)
     entries = []
-    for (point, scale, center, payload) in bubbles:
-        e = energy(payload) if isinstance(payload, SpinorField) else float(payload)
+    for (point, scale, center, e) in bubbles:
         if e < 0:
             raise PreconditionError("bubble energies must be nonnegative")
         entries.append(BubbleEntry(tuple(point), float(scale),
-                                   (float(center[0]), float(center[1])), e))
+                                   (float(center[0]), float(center[1])), float(e)))
     entries.sort(key=lambda b: b.point)
     energies = tuple(energy(f) for f in sequence)
     background_e = energy(background)

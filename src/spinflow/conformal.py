@@ -78,23 +78,16 @@ def sample_field(psi: SpinorField, X, Y) -> np.ndarray:
     return out
 
 
-def rescale(psi: SpinorField, center, lam: float,
-            target_chart: GridChart | None = None) -> SpinorField:
-    """Conformal zoom: (rescale psi)(x) = sqrt(lam) psi(center + lam x).
+def rescale(psi: SpinorField, center, lam: float, target_chart: GridChart) -> SpinorField:
+    """Conformal zoom: (rescale psi)(x) = sqrt(lam) psi(center + lam x),
+    sampled on ``target_chart``.
 
     The +1/2 weight exponent is what makes region-matched energies equal and
-    maps solutions of the cubic equation to solutions.  The default target is
-    the source chart itself (torus only); bounded sources need an explicit
-    target covering the requested zoom.
+    maps solutions of the cubic equation to solutions.  On a bounded source
+    the zoomed points must stay inside its chart.
     """
     if lam <= 0:
         raise PreconditionError("rescale needs lam > 0")
-    chart = psi.chart
-    if target_chart is None:
-        if chart.kind != TORUS:
-            raise ConfigurationError(
-                "rescale on bounded charts needs an explicit target chart")
-        target_chart = chart
     cx, cy = center
     X, Y = target_chart.grid()
     vals = np.sqrt(lam) * sample_field(psi, cx + lam * X, cy + lam * Y)

@@ -50,35 +50,32 @@ from .rng import SplitMix64
 from .spinors import lp_norm, scalar_lp_norm
 
 
-class GreenKernel:
-    """Evaluation rule for the free-space Dirac Green kernel.
+def kernel_matrix(x1: float, x2: float) -> np.ndarray:
+    """The free-space Dirac Green kernel K(x) at the offset (x1, x2); zero at
+    the origin, where the analytic cell average vanishes because K is odd."""
+    z = complex(x1, x2)
+    if abs(z) == 0.0:
+        return np.zeros((2, 2), np.complex128)
+    return np.array([[0.0, -1.0 / (2.0 * np.pi * np.conj(z))],
+                     [1.0 / (2.0 * np.pi * z), 0.0]], np.complex128)
 
-    Offsets closer than half a cell use the analytic cell average, which is
-    zero because the kernel is odd.
+
+def kernel_offset_grids(chart: GridChart):
+    """Offset grids (g1, g2) of shape (2ny-1, 2nx-1), incl. cell weight.
+
+    g2 multiplies f1 to produce w2; g1 multiplies f2 to produce w1.
+    Offset (0, 0) sits at index (ny-1, nx-1); offsets closer than half a cell
+    take the analytic cell average, zero because the kernel is odd.
     """
-
-    def matrix(self, x1: float, x2: float) -> np.ndarray:
-        z = complex(x1, x2)
-        if abs(z) == 0.0:
-            return np.zeros((2, 2), np.complex128)
-        return np.array([[0.0, -1.0 / (2.0 * np.pi * np.conj(z))],
-                         [1.0 / (2.0 * np.pi * z), 0.0]], np.complex128)
-
-    def scalar_offset_grids(self, chart: GridChart):
-        """Offset grids (g1, g2) of shape (2ny-1, 2nx-1), incl. cell weight.
-
-        g2 multiplies f1 to produce w2; g1 multiplies f2 to produce w1.
-        Offset (0, 0) sits at index (ny-1, nx-1).
-        """
-        dx, dy = offset_grid(chart)
-        Z = dx + 1j * dy
-        r = np.abs(Z)
-        cell = chart.hx * chart.hy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g2 = cell / (2.0 * np.pi * Z)
-        g2[r < 0.5 * min(chart.hx, chart.hy)] = 0.0
-        g1 = -np.conj(g2)
-        return g1, g2
+    dx, dy = offset_grid(chart)
+    Z = dx + 1j * dy
+    r = np.abs(Z)
+    cell = chart.hx * chart.hy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = cell / (2.0 * np.pi * Z)
+    g2[r < 0.5 * min(chart.hx, chart.hy)] = 0.0
+    g1 = -np.conj(g2)
+    return g1, g2
 
 
 def _support_margin_check(f: SpinorField):
@@ -148,7 +145,7 @@ def _circular_conv_direct(kernel_grid: np.ndarray, src: np.ndarray) -> np.ndarra
 @lru_cache(maxsize=_CACHE_CHARTS)
 def _free_kernel_ffts(chart: GridChart):
     """``conv_transform`` of both free-space kernel grids, once per chart."""
-    return tuple(conv_transform(chart, g) for g in GreenKernel().scalar_offset_grids(chart))
+    return tuple(conv_transform(chart, g) for g in kernel_offset_grids(chart))
 
 
 def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
@@ -176,7 +173,7 @@ def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
     if chart.kind not in (DISK, RECT):
         raise DomainError(f"green_convolve does not support {chart.kind!r} charts")
     _support_margin_check(f)
-    kernels = (GreenKernel().scalar_offset_grids(chart) if method == "direct"
+    kernels = (kernel_offset_grids(chart) if method == "direct"
                else _free_kernel_ffts(chart))
     for i in range(f.n):
         for slot, kernel in enumerate(kernels):     # w1 <- f2 by g1, w2 <- f1 by g2

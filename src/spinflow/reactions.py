@@ -24,7 +24,7 @@ Variants:
 All variants are 3-homogeneous in psi.  ``linearize`` returns the directional
 derivative of the right-hand side; it is real-linear but not complex-linear
 (the Hermitian pairings conjugate one slot), which is why the Newton solve
-works on real-stacked vectors.
+works on real vectors, the float64 view of the field.
 
 Coefficient bound: ``h0`` is the sup of the cubic coefficient over the
 active nodes (for the chiral presets sup|H| + alpha with alpha = 1, 1/2, 3/2

@@ -10,7 +10,8 @@ floor, when an update fails to shrink.
 
 Newton refinement linearizes the cubic term.  The derivative is only
 real-linear (Hermitian pairings conjugate one slot), so the linear solve runs
-GMRES on real-stacked vectors of the preconditioned update equation
+GMRES on real vectors: the float64 view of a complex field, real and imaginary
+parts interleaved.  It solves the preconditioned update equation
 (I - Dinv o Drhs) delta = -Dinv r, with the same ``green.dirac_inverse``.
 """
 
@@ -76,12 +77,13 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
     each sweep whose update norm does not fall (``report.damping_history``).
     Stops when the L2 norm of the update drops below ``tol``; on the torus
     (exact spectral inverse) the L^{4/3} residual must also reach 10 tol.  On
-    the disk the reported residual is measured with the node-based FD operator
-    and floors at its O(h^2) truncation against the cell-based inner solve, so
-    only the update norm gates convergence there.  ``trace`` holds the disk
-    boundary values (zero when None); on a torus it is a ConfigurationError.  Raises DivergenceError when
-    the update norm grows by 10x over 20 iterations.  Returns (psi,
-    PicardReport); ``report.reason`` is "converged" or names the sweep limit.
+    the disk the reported residual applies the node-based FD operator and does
+    not fall with h: it measures how far the trace is from data that a
+    first-order system can meet, so only the update norm gates there.
+    ``trace`` holds the disk boundary values (zero when None); on a torus it
+    is a ConfigurationError.  Raises DivergenceError when the update norm
+    grows by 10x over 20 iterations.  Returns (psi, PicardReport);
+    ``report.reason`` is "converged" or names the sweep limit.
     """
     if not (0.0 < damping <= 1.0):
         raise ConfigurationError("damping must lie in (0, 1]")
@@ -129,26 +131,18 @@ class NewtonReport:
     reason: str = ""
 
 
-def _real_flatten(values: np.ndarray) -> np.ndarray:
-    return np.stack([values.real, values.imag]).ravel()
-
-
-def _real_unflatten(vec: np.ndarray, shape) -> np.ndarray:
-    half = vec.size // 2
-    return vec[:half].reshape(shape) + 1j * vec[half:].reshape(shape)
-
-
 def newton_refine(spec: ReactionSpec, psi: SpinorField,
                   forcing: SpinorField | None = None, tol: float = 1e-10,
                   max_steps: int = 5) -> tuple:
     """Newton steps on the torus, preconditioned by the spectral inverse of
     ``green.dirac_inverse``; residual strictly decreases or the report flags
-    stagnation.  Other charts stagnate immediately: on the disk the node-based
-    FD residual floors at O(h^2) against the box scheme that ``disk_solve``
-    inverts, so Newton there needs a residual of its own.  ``report.reason`` is
-    "converged" on success and otherwise says why the steps stopped.  A step
-    leaves about rtol * rnorm, so GMRES runs to rtol = 0.1 tol / rnorm in
-    [1e-10, 0.1].  ``psi`` is never written; the torus path does not copy it."""
+    stagnation.  Other charts stagnate immediately: the disk's node-based FD
+    residual measures how far the trace is from data that a first-order
+    system can meet, does not vanish at the solution, and so cannot drive
+    Newton.  ``report.reason`` is "converged" on success and otherwise says
+    why the steps stopped.  A step leaves about rtol * rnorm, so GMRES runs to
+    rtol = 0.1 tol / rnorm in [1e-10, 0.1].  ``psi`` is never written; the
+    torus path does not copy it."""
     chart = psi.chart
     report = NewtonReport(False, False, 0)
     if chart.kind != TORUS:
@@ -165,12 +159,13 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
         import scipy.sparse.linalg  # after the break: a run that takes no step loads no scipy
 
         def matvec(vec):
-            lin = spec.linearize(psi, SpinorField(chart, _real_unflatten(vec, shape)))
-            return vec - _real_flatten(inverse(lin).values)
+            lin = spec.linearize(psi, SpinorField(
+                chart, np.ascontiguousarray(vec).view(np.complex128).reshape(shape)))
+            return vec - inverse(lin).values.view(np.float64).ravel()
 
         op = scipy.sparse.linalg.LinearOperator(
             (2 * np.prod(shape), 2 * np.prod(shape)), matvec=matvec, dtype=float)
-        rhs_vec = -_real_flatten(inverse(res_field).values)
+        rhs_vec = -inverse(res_field).values.view(np.float64).ravel()
         del res_field   # not held through the Krylov solve
         # threaded, GMRES's vector operations cost twice the CPU for little wall time
         with one_blas_thread():
@@ -181,7 +176,8 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
             report.stagnated = True
             report.reason = f"gmres did not converge (info={info}) at step {step}"
             break
-        candidate = SpinorField(chart, psi.values + _real_unflatten(sol, shape))
+        step_values = np.ascontiguousarray(sol).view(np.complex128).reshape(shape)
+        candidate = SpinorField(chart, psi.values + step_values)
         new_field, new_norm = residual(spec, candidate, forcing, mode="spectral")
         if not np.isfinite(new_norm) or new_norm >= rnorm:
             report.stagnated = True

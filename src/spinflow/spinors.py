@@ -16,8 +16,6 @@ everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .charts import GridChart, SpinorField
@@ -30,34 +28,21 @@ PROJ_PLUS = 0.5 * (np.eye(2) + GAMMA)          # diag(0, 1)
 PROJ_MINUS = 0.5 * (np.eye(2) - GAMMA)         # diag(1, 0)
 
 
-@dataclass(frozen=True)
-class CliffordRep:
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    chirality: np.ndarray
-    proj_plus: np.ndarray
-    proj_minus: np.ndarray
-
-    @staticmethod
-    def standard() -> "CliffordRep":
-        return CliffordRep(SIGMA1, SIGMA2, GAMMA, PROJ_PLUS, PROJ_MINUS)
-
-    def max_defect(self) -> float:
-        """Largest violation of the Clifford/projector relations."""
-        eye = np.eye(2)
-        defects = []
-        for a in (self.sigma1, self.sigma2):
-            defects.append(np.abs(a + a.conj().T).max())           # skew-Hermitian
-        for a, b, d in ((self.sigma1, self.sigma1, 1.0),
-                        (self.sigma2, self.sigma2, 1.0),
-                        (self.sigma1, self.sigma2, 0.0)):
-            defects.append(np.abs(a @ b + b @ a + 2.0 * d * eye).max())
-        defects.append(np.abs(self.chirality @ self.chirality - eye).max())
-        defects.append(np.abs(self.proj_plus + self.proj_minus - eye).max())
-        defects.append(np.abs(self.proj_plus @ self.proj_plus - self.proj_plus).max())
-        defects.append(np.abs(self.proj_minus @ self.proj_minus - self.proj_minus).max())
-        defects.append(np.abs(self.proj_plus @ self.proj_minus).max())
-        return float(max(defects))
+def clifford_defect() -> float:
+    """Largest violation of the Clifford/projector relations by the module's
+    SIGMA1, SIGMA2, GAMMA, PROJ_PLUS and PROJ_MINUS."""
+    eye = np.eye(2)
+    defects = []
+    for a in (SIGMA1, SIGMA2):
+        defects.append(np.abs(a + a.conj().T).max())           # skew-Hermitian
+    for a, b, d in ((SIGMA1, SIGMA1, 1.0), (SIGMA2, SIGMA2, 1.0), (SIGMA1, SIGMA2, 0.0)):
+        defects.append(np.abs(a @ b + b @ a + 2.0 * d * eye).max())
+    defects.append(np.abs(GAMMA @ GAMMA - eye).max())
+    defects.append(np.abs(PROJ_PLUS + PROJ_MINUS - eye).max())
+    defects.append(np.abs(PROJ_PLUS @ PROJ_PLUS - PROJ_PLUS).max())
+    defects.append(np.abs(PROJ_MINUS @ PROJ_MINUS - PROJ_MINUS).max())
+    defects.append(np.abs(PROJ_PLUS @ PROJ_MINUS).max())
+    return float(max(defects))
 
 
 def pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:

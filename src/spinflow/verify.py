@@ -21,7 +21,7 @@ from .config import RunConfig
 from .conformal import rescale, sphere_transfer, to_cylinder
 from .fields import compact_bump_field, torus_mode_field
 from .solve import smallness
-from .spinors import CliffordRep, chirality_project, clifford_multiply, energy, lp_norm
+from .spinors import chirality_project, clifford_defect, clifford_multiply, energy, lp_norm
 from .weierstrass import null_identity_defect
 
 
@@ -84,8 +84,8 @@ def verify_report(cfg: RunConfig, seed: int) -> dict:
             entry["detail"] = detail
         checks[name] = entry
 
-    rep = CliffordRep.standard()
-    add("clifford_relations", rep.max_defect() <= 1e-12, rep.max_defect(), 1e-12)
+    defect = clifford_defect()
+    add("clifford_relations", defect <= 1e-12, defect, 1e-12)
 
     chart64 = GridChart.torus(64, spin_structure="AA")
     probe = torus_mode_field(chart64, 0.5, 1, seed)

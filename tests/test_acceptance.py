@@ -23,7 +23,7 @@ from spinflow.fields import (bubble_profile_energy, compact_bump_field,
 from spinflow.green import estimate_ratio, green_convolve
 from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH
 from spinflow.solve import newton_refine, picard_solve, residual
-from spinflow.spinors import CliffordRep, chirality_project, energy
+from spinflow.spinors import chirality_project, clifford_defect, energy
 from spinflow.verify import _conformal_errors
 from spinflow.weierstrass import (integrate_surface, mean_curvature, mesh_area,
                                   null_identity_defect)
@@ -39,7 +39,7 @@ def report(name, ok, detail):
 class TestAcceptance:
     def test_01_algebraic_layer(self):
         t0 = time.time()
-        clifford = CliffordRep.standard().max_defect()
+        clifford = clifford_defect()
         chart = GridChart.torus(32, spin_structure="PP")
         psi = random_field(chart, seed=0)
         proj = np.abs((chirality_project(+1, psi) + chirality_project(-1, psi)

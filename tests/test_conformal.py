@@ -23,7 +23,7 @@ class TestRescale:
     def test_identity(self):
         chart = GridChart.torus(64, spin_structure="AA")
         psi = torus_mode_field(chart, 0.5, 1, seed=1)
-        out = rescale(psi, (0.0, 0.0), 1.0)
+        out = rescale(psi, (0.0, 0.0), 1.0, chart)
         assert np.abs(out.values - psi.values).max() < 1e-12
 
     def test_energy_preserved_compact_support(self):
@@ -67,11 +67,6 @@ class TestRescale:
         target = GridChart.rect(33, 33, (-1.0, 1.0, -1.0, 1.0))
         with pytest.raises(OutOfDomainError):
             rescale(psi, (0.0, 0.0), 1.5, target)
-
-    def test_bounded_needs_target(self):
-        chart = GridChart.rect(33, 33, (-1.0, 1.0, -1.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            rescale(compact_bump_field(chart), (0.0, 0.0), 0.5)
 
 
 class TestCylinder:

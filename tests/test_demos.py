@@ -1,8 +1,10 @@
 """The demos and the benchmark tracer name only things that still exist
-(checked without running either)."""
+(checked without running either); the two sub-second demos also run."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,13 @@ def test_demo_imports_exist(demo):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{demo.name}: {module}.{name}"
+
+
+@pytest.mark.parametrize("name", ["01_clifford_and_dirac.py", "02_green_potentials.py"])
+def test_fast_demo_runs(name):
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _tracer_table(name):

@@ -12,29 +12,36 @@ loops of both seeded field builders.  Results must agree to 1e-13 of their maxim
 ``local_energy_grid`` once per field, radius and bisection step, ``ScalarH``
 against its elementwise formulas, and ``green_convolve`` against the
 per-slot transform products it made before the kernel transforms were cached.
-``charts.erode`` must equal ``scipy.ndimage.binary_erosion`` bit for bit, and
+``charts.erode`` must equal ``scipy.ndimage.binary_erosion`` bit for bit,
 ``_merge_across_seams`` must group labels as the ``connected_components``
-graph it replaced.
+graph it replaced, and a ``newton_refine`` step, whose GMRES runs on the
+float64 view of the field, must match the step on stacked [re; im] vectors
+to 1e-12 with the same number of matvecs.
 """
 
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse.linalg
 from scipy import ndimage
 
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from spinflow._blas import one_blas_thread
 from spinflow.blowup import (_merge_across_seams, _min_image_dist2, blowup_set,
                              extract_bubble, local_energy_grid)
 from spinflow.charts import DISK, TORUS, GridChart, SpinorField, erode
+from spinflow.config import parse_config
 from spinflow.conformal import rescale
+from spinflow.dirac import dirac_apply
 from spinflow.fields import (DEFAULT_MODES, bubble_profile_energy, planted_bubble,
                              smoothstep7, torus_mode_field)
-from spinflow.green import (GreenKernel, _free_kernel_ffts, conv_transform, conv_window,
-                            green_convolve, windowed_mode_field)
-from spinflow.reactions import CurvatureCubic, GeneralCubic, ScalarH, _contract
+from spinflow.green import (_free_kernel_ffts, conv_transform, conv_window, dirac_inverse,
+                            green_convolve, kernel_offset_grids, windowed_mode_field)
+from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH, _contract
 from spinflow.rng import SplitMix64
+from spinflow.solve import newton_refine, picard_solve, residual
 from spinflow.spinors import (PROJ_MINUS, PROJ_PLUS, SIGMA1, SIGMA2, _region_mask,
                               chirality_project, clifford_multiply, component_inners,
                               lp_norm, pairing, pointwise_norm)
@@ -223,7 +230,7 @@ def _ref_green_fft(f):
     shape = (scipy.fft.next_fast_len(2 * ny - 1), scipy.fft.next_fast_len(2 * nx - 1))
     out = np.zeros_like(f.values)
     for i in range(f.n):
-        for slot, kernel in enumerate(GreenKernel().scalar_offset_grids(chart)):
+        for slot, kernel in enumerate(kernel_offset_grids(chart)):
             full = scipy.fft.ifft2(scipy.fft.fft2(kernel, shape)
                                    * scipy.fft.fft2(f.values[:, :, i, 1 - slot], shape))
             out[:, :, i, slot] = full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
@@ -242,7 +249,7 @@ def _windowed_pair(chart):
 @pytest.mark.parametrize("chart", BOUNDED, ids=lambda c: f"{c.kind}{c.nx}x{c.ny}")
 def test_linear_convolution(chart):
     src = random_field(chart, n=1, seed=chart.nx).values[:, :, 0, 0]
-    grids = GreenKernel().scalar_offset_grids(chart)
+    grids = kernel_offset_grids(chart)
     for kernel_fft, grid in zip(_free_kernel_ffts(chart), grids):
         spectrum = kernel_fft * conv_transform(chart, src)
         _close(conv_window(chart, spectrum), _ref_linear_conv_fft(grid, src))
@@ -527,3 +534,67 @@ def test_disk_masks_match_ndimage(nx, radius):
     act = chart.active
     assert np.array_equal(chart.inside, ndimage.binary_erosion(act))
     assert np.array_equal(erode(act, full=True), ndimage.binary_erosion(act, np.ones((3, 3))))
+
+
+# ---------------------------------------------------------------------------
+# Newton's GMRES vectors
+# ---------------------------------------------------------------------------
+
+def _real_flatten(values: np.ndarray) -> np.ndarray:
+    return np.stack([values.real, values.imag]).ravel()
+
+
+def _real_unflatten(vec: np.ndarray, shape) -> np.ndarray:
+    half = vec.size // 2
+    return vec[:half].reshape(shape) + 1j * vec[half:].reshape(shape)
+
+
+class _CountingSpec:
+    """A reaction that counts its ``linearize`` calls: one per GMRES matvec."""
+
+    def __init__(self, spec):
+        self.spec, self.calls = spec, 0
+
+    def rhs(self, psi):
+        return self.spec.rhs(psi)
+
+    def linearize(self, psi, delta):
+        self.calls += 1
+        return self.spec.linearize(psi, delta)
+
+
+def _ref_newton_step(spec, psi, forcing, tol):
+    """One ``newton_refine`` step with GMRES on stacked [re; im] vectors."""
+    chart, shape = psi.chart, psi.values.shape
+    inverse = dirac_inverse(chart)
+    res_field, rnorm = residual(spec, psi, forcing, mode="spectral")
+
+    def matvec(vec):
+        lin = spec.linearize(psi, SpinorField(chart, _real_unflatten(vec, shape)))
+        return vec - _real_flatten(inverse(lin).values)
+
+    op = scipy.sparse.linalg.LinearOperator(
+        (2 * np.prod(shape), 2 * np.prod(shape)), matvec=matvec, dtype=float)
+    with one_blas_thread():
+        sol, info = scipy.sparse.linalg.gmres(
+            op, -_real_flatten(inverse(res_field).values), atol=0.0, restart=40,
+            maxiter=50, rtol=min(0.1, max(1e-10, 0.1 * tol / rnorm)))
+    assert info == 0
+    return SpinorField(chart, psi.values + _real_unflatten(sol, shape))
+
+
+@pytest.mark.parametrize("spec, n", [
+    (ScalarH(1.0), 1),
+    (parse_config("reaction.type = general_cubic\nreaction.h = 1.0\n").build_reaction(), 2),
+    (ChiralUV("sl2", h=0.7), 1),
+], ids=["scalar_h", "general_cubic", "chiral_sl2"])
+def test_newton_step_on_float64_view(spec, n):
+    chart = GridChart.torus(64, spin_structure="AA")
+    target = torus_mode_field(chart, 0.35, n, 11)
+    forcing = dirac_apply(target, "spectral") - spec.rhs(target)
+    start, _ = picard_solve(spec, SpinorField.zeros(chart, n), forcing=forcing, tol=1e-7)
+    ref_spec, new_spec = _CountingSpec(spec), _CountingSpec(spec)
+    want = _ref_newton_step(ref_spec, start, forcing, 1e-10)
+    got, rep = newton_refine(new_spec, start, forcing=forcing, tol=1e-10, max_steps=1)
+    assert rep.steps == 1 and new_spec.calls == ref_spec.calls > 0
+    assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinflow.charts import GridChart, SpinorField
-from spinflow.spinors import (CliffordRep, chirality_project,
-                              clifford_multiply, energy, lp_norm,
+from spinflow.spinors import (GAMMA, PROJ_MINUS, PROJ_PLUS, chirality_project,
+                              clifford_defect, clifford_multiply, energy, lp_norm,
                               pointwise_norm)
 
 from conftest import block_inner, random_field, zero_outside
@@ -13,13 +13,12 @@ from conftest import block_inner, random_field, zero_outside
 
 class TestCliffordAlgebra:
     def test_relations_exact(self):
-        assert CliffordRep.standard().max_defect() == 0.0
+        assert clifford_defect() == 0.0
 
     def test_chirality_matrix_is_diag(self):
-        rep = CliffordRep.standard()
-        assert np.allclose(rep.chirality, np.diag([-1.0, 1.0]), atol=0)
-        assert np.allclose(rep.proj_plus, np.diag([0.0, 1.0]), atol=0)
-        assert np.allclose(rep.proj_minus, np.diag([1.0, 0.0]), atol=0)
+        assert np.allclose(GAMMA, np.diag([-1.0, 1.0]), atol=0)
+        assert np.allclose(PROJ_PLUS, np.diag([0.0, 1.0]), atol=0)
+        assert np.allclose(PROJ_MINUS, np.diag([1.0, 0.0]), atol=0)
 
     def test_sigma1_on_basis(self, torus_pp):
         psi = SpinorField.zeros(torus_pp, 1)

@@ -1,7 +1,7 @@
 """Per-layer timings of the Dirac operators, the torus solve path, the disk
 Green layer and the analysis layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_22.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_23.json
 
 On an AA torus with n = 2 at 128^2, 192^2 and 256^2 it times
 ``dirac.dirac_apply`` in FD and in spectral mode and
@@ -24,7 +24,9 @@ solves.  Each entry is the median wall time of ``--repeats`` timed calls (at
 least 5) with the min and max, after one untimed warm-up call, and the median
 ``time.process_time`` of the same calls (``cpu_median_s``), which counts BLAS
 worker threads too; the Picard entry also records its sweep count and the
-Newton entry its step count.
+Newton entry its step count, its GMRES matvec count (``linearize`` calls per
+refine, counted in one extra untimed call) and the tracemalloc peak of one
+warm call (``peak_bytes``).
 
 On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
 
@@ -92,7 +94,7 @@ from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubbl
                              torus_mode_field)
 from spinflow.green import (_disk_factor, _disk_system, disk_solve, green_convolve,
                             windowed_mode_field)
-from spinflow.reactions import ScalarH, _contract
+from spinflow.reactions import GeneralCubic, ScalarH, _contract
 from spinflow.rng import SplitMix64
 from spinflow.solve import newton_refine, picard_solve
 from spinflow.spinors import component_inners
@@ -153,6 +155,16 @@ def measure_dirac(size: int, repeats: int) -> dict:
     return out
 
 
+class _CountingCubic(GeneralCubic):
+    """A ``GeneralCubic`` that counts its ``linearize`` calls: one per GMRES matvec."""
+
+    calls = 0
+
+    def linearize(self, psi, delta):
+        self.calls += 1
+        return super().linearize(psi, delta)
+
+
 def measure(size: int, repeats: int) -> dict:
     chart = GridChart.torus(size, spin_structure="AA")
     spec = parse_config("reaction.type = general_cubic\nreaction.h = 1.0\n").build_reaction()
@@ -180,6 +192,10 @@ def measure(size: int, repeats: int) -> dict:
     }
     out["solve.picard_solve"]["sweeps"] = sweeps[-1]
     out["solve.newton_refine"]["steps"] = steps[-1]
+    counting = _CountingCubic(spec.tensor)
+    newton_refine(counting, start, forcing=forcing, tol=1e-10)
+    out["solve.newton_refine"]["gmres_matvecs"] = counting.calls
+    out["solve.newton_refine"]["peak_bytes"] = _peak_bytes(refine)
     return out
 
 
