@@ -257,11 +257,12 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     are solved in least squares through the normal equations in one solve by
     the factor cached per chart (``_disk_factor``), refined by the same factor.
     A component converges on the normal-equations residual |B^H (d - B u)| of
-    its two slots relative to |B^H d|; the least-squares residual itself floors
-    at the O(h^2) truncation level for data sampled from continuum sources, and
-    is reported alongside.  Refinement stops when every component is at or
-    below ``tol``, and raises SolverError with the residual history when a
-    refinement fails to lower the worst residual (a NaN residual included).
+    its two slots relative to |B^H d|.  The least-squares residual, reported
+    alongside, measures how far the trace is from data a first-order system
+    can meet; it does not fall with h and never gates.  Refinement stops when
+    every component is at or below ``tol``, and raises SolverError with the
+    residual history when a refinement fails to lower the worst residual (a
+    NaN residual included).
     Returns (psi, report); ``"iterations"`` is the number of solves plus one.
     BLAS runs at one thread, so the bytes do not depend on the thread count.
     """
@@ -328,7 +329,8 @@ def dirac_inverse(chart: GridChart, trace: np.ndarray | None = None):
     On a torus with a kernel-free spin structure it is
     ``dirac_inverse_spectral``, and a ``trace`` is a ConfigurationError (the
     torus has no boundary).  On a disk it is ``disk_solve`` with boundary
-    values ``trace`` (shape (n_boundary, n, 2)), zero when none is given.
+    values ``trace`` (shape (n_boundary, n, 2)), zero when none is given; that
+    linear zero-trace inverse is the S0 of ``newton_refine``'s linear solve.
     Any other chart, or a torus whose Dirac operator has a kernel, is a
     ConfigurationError.
     """

@@ -1,18 +1,16 @@
 """Residuals, damped Picard iteration, and Newton refinement.
 
-The fixed-point map is psi <- (1 - theta) psi + theta Dinv(rhs(psi) + forcing)
-with the Dirac inverse that ``green.dirac_inverse`` picks for the chart: the
-exact spectral inverse on kernel-free torus spin structures, or the disk
-boundary-value solve with a fixed trace.  A chart it cannot serve is a
-ConfigurationError before the first sweep.  The map contracts in
-the small-energy regime, so theta starts at 1 and only halves, down to a
-floor, when an update fails to shrink.
-
-Newton refinement linearizes the cubic term.  The derivative is only
-real-linear (Hermitian pairings conjugate one slot), so the linear solve runs
-GMRES on real vectors: the float64 view of a complex field, real and imaginary
-parts interleaved.  It solves the preconditioned update equation
-(I - Dinv o Drhs) delta = -Dinv r, with the same ``green.dirac_inverse``.
+Both solvers work on the fixed point psi = S(rhs(psi) + forcing) for the Dirac
+inverse S that ``green.dirac_inverse`` picks for the chart (the exact spectral
+inverse on kernel-free torus spin structures, or the disk boundary-value solve
+with a fixed trace; any other chart is a ConfigurationError before any sweep).
+Both gate on rho(psi) = psi - S(rhs(psi) + forcing): on the torus in the
+spectral L^{4/3} norm of r = D psi - rhs(psi) - forcing (rho = Dinv r),
+elsewhere in L2.  Picard's damping theta starts at 1 and only halves, down to
+a floor, when an update fails to shrink: the map contracts in the small-energy
+regime.  Newton's derivative is only real-linear (Hermitian pairings conjugate
+one slot), so GMRES runs on the float64 view of the complex field and solves
+(I - S0 o Drhs) delta = -rho, S0 = ``green.dirac_inverse`` without a trace.
 """
 
 from __future__ import annotations
@@ -75,26 +73,24 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
 
     The damping theta starts at 1 and halves, never below ``damping``, after
     each sweep whose update norm does not fall (``report.damping_history``).
-    Stops when the L2 norm of the update drops below ``tol``; on the torus
-    (exact spectral inverse) the L^{4/3} residual must also reach 10 tol.  On
-    the disk the reported residual applies the node-based FD operator and does
-    not fall with h: it measures how far the trace is from data that a
-    first-order system can meet, so only the update norm gates there.
-    ``trace`` holds the disk boundary values (zero when None); on a torus it
-    is a ConfigurationError.  Raises DivergenceError when the update norm
-    grows by 10x over 20 iterations.  Returns (psi, PicardReport);
-    ``report.reason`` is "converged" or names the sweep limit.
+    Stops when the L2 norm of the update drops below ``tol`` and the residual
+    reaches 10 tol: on the torus the L^{4/3} residual of the new iterate,
+    elsewhere update / theta, the L2 norm of rho of the iterate the sweep
+    started from, measured by the sweep's own solve.  ``trace`` holds the disk
+    boundary values (zero when None); on a torus it is a ConfigurationError.
+    Raises DivergenceError when the update norm grows by 10x over 20
+    iterations.  Returns (psi, PicardReport); ``report.reason`` is "converged"
+    or names the sweep limit.
     """
     if not (0.0 < damping <= 1.0):
         raise ConfigurationError("damping must lie in (0, 1]")
     seed.validate()
     chart = seed.chart
     inverse = dirac_inverse(chart, trace)
-    res_mode = "spectral" if chart.kind == TORUS else "fd"
     report = PicardReport(False, 0)
     psi = seed.copy()
     theta = 1.0
-    reaction = spec.rhs(psi)  # of the current iterate: its residual and the next target
+    reaction = spec.rhs(psi)  # of the current iterate: the next target (and torus residual)
     for it in range(1, max_iter + 1):
         # Overflow on the way to the divergence check is an expected, handled path.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -105,14 +101,15 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
             report.damping_history.append(theta)
             psi = new
             reaction = spec.rhs(psi)
-            _, rnorm = _residual(psi, reaction, forcing, res_mode)
+            rnorm = (_residual(psi, reaction, forcing, "spectral")[1]
+                     if chart.kind == TORUS else du / theta)
             report.residual_norms.append(rnorm)
         report.iterations = it
         if not np.isfinite(du) or (it > 20 and du > 10.0 * report.update_norms[it - 21]):
             raise DivergenceError(
                 f"Picard iteration diverged at sweep {it} (update norm {du:.3e})",
                 report.update_norms)
-        if du < tol and (res_mode != "spectral" or rnorm <= 10.0 * tol):
+        if du < tol and rnorm <= 10.0 * tol:
             report.converged = True
             break
         if it > 1 and du >= report.update_norms[-2]:
@@ -133,26 +130,28 @@ class NewtonReport:
 
 def newton_refine(spec: ReactionSpec, psi: SpinorField,
                   forcing: SpinorField | None = None, tol: float = 1e-10,
-                  max_steps: int = 5) -> tuple:
-    """Newton steps on the torus, preconditioned by the spectral inverse of
-    ``green.dirac_inverse``; residual strictly decreases or the report flags
-    stagnation.  Other charts stagnate immediately: the disk's node-based FD
-    residual measures how far the trace is from data that a first-order
-    system can meet, does not vanish at the solution, and so cannot drive
-    Newton.  ``report.reason`` is "converged" on success and otherwise says
-    why the steps stopped.  A step leaves about rtol * rnorm, so GMRES runs to
-    rtol = 0.1 tol / rnorm in [1e-10, 0.1].  ``psi`` is never written; the
-    torus path does not copy it."""
+                  max_steps: int = 5, trace=None) -> tuple:
+    """Newton steps on the fixed-point residual rho of ``picard_solve``, same
+    ``trace``: it strictly decreases or the report flags stagnation, and
+    ``report.reason`` says why the steps stopped ("converged" on success).  A
+    step leaves about rtol * rnorm, so GMRES runs to rtol = 0.1 tol / rnorm in
+    [1e-10, 0.1].  ``psi`` is never written or copied."""
     chart = psi.chart
-    report = NewtonReport(False, False, 0)
-    if chart.kind != TORUS:
-        report.stagnated = True
-        report.reason = f"newton refinement not available on {chart.kind!r} charts"
-        return psi.copy(), report
-    inverse = dirac_inverse(chart)
+    fixed = dirac_inverse(chart, trace)
+    inverse = fixed if trace is None else dirac_inverse(chart)
     shape = psi.values.shape
-    res_field, rnorm = residual(spec, psi, forcing, mode="spectral")
-    report.residual_norms.append(rnorm)
+
+    def fixed_point_residual(at):
+        # (norm, thunk of rho): on the torus Dinv r is built only for a step
+        if chart.kind == TORUS:
+            res, norm = residual(spec, at, forcing, mode="spectral")
+            return norm, lambda: inverse(res)
+        reaction = spec.rhs(at)
+        rho = at - fixed(reaction if forcing is None else reaction + forcing)
+        return lp_norm(rho, 2.0), lambda: rho
+
+    rnorm, rho = fixed_point_residual(psi)
+    report = NewtonReport(False, False, 0, [rnorm])
     for step in range(1, max_steps + 1):
         if rnorm <= tol:
             break
@@ -165,8 +164,8 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
 
         op = scipy.sparse.linalg.LinearOperator(
             (2 * np.prod(shape), 2 * np.prod(shape)), matvec=matvec, dtype=float)
-        rhs_vec = -inverse(res_field).values.view(np.float64).ravel()
-        del res_field   # not held through the Krylov solve
+        rhs_vec = -rho().values.view(np.float64).ravel()
+        del rho   # not held through the Krylov solve
         # threaded, GMRES's vector operations cost twice the CPU for little wall time
         with one_blas_thread():
             sol, info = scipy.sparse.linalg.gmres(
@@ -176,15 +175,14 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
             report.stagnated = True
             report.reason = f"gmres did not converge (info={info}) at step {step}"
             break
-        step_values = np.ascontiguousarray(sol).view(np.complex128).reshape(shape)
-        candidate = SpinorField(chart, psi.values + step_values)
-        new_field, new_norm = residual(spec, candidate, forcing, mode="spectral")
+        candidate = SpinorField(chart, psi.values + sol.view(np.complex128).reshape(shape))
+        new_norm, new_rho = fixed_point_residual(candidate)
         if not np.isfinite(new_norm) or new_norm >= rnorm:
             report.stagnated = True
             report.reason = (f"residual did not decrease at step {step} "
                              f"({rnorm:.3e} -> {new_norm:.3e})")
             break
-        psi, res_field, rnorm = candidate, new_field, new_norm
+        psi, rho, rnorm = candidate, new_rho, new_norm
         report.residual_norms.append(rnorm)
         report.steps = step
     if rnorm <= tol:

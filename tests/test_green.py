@@ -206,7 +206,7 @@ import numpy as np
 from spinflow.charts import GridChart, SpinorField
 from spinflow.green import disk_solve
 from spinflow.reactions import ScalarH
-from spinflow.solve import picard_solve
+from spinflow.solve import newton_refine, picard_solve
 
 chart = GridChart.disk(97, 1.0)
 rng = np.random.default_rng(3)
@@ -221,8 +221,12 @@ trace[:, 0, 0] = 0.3 * np.exp(1j * X[bn[:, 0], bn[:, 1]])
 sol, rep = picard_solve(ScalarH(0.4), SpinorField.zeros(chart, 1), trace=trace,
                         tol=1e-8, max_iter=60)
 assert rep.converged
+coarse, _ = picard_solve(ScalarH(0.4), SpinorField.zeros(chart, 1), trace=trace, tol=1e-2)
+refined, nrep = newton_refine(ScalarH(0.4), coarse, trace=trace, tol=1e-12)
+assert nrep.converged and nrep.steps >= 1
 print(hashlib.sha256(psi.values.tobytes()).hexdigest())
 print(hashlib.sha256(sol.values.tobytes()).hexdigest())
+print(hashlib.sha256(refined.values.tobytes()).hexdigest())
 """
 
 
@@ -236,7 +240,7 @@ def test_disk_bytes_do_not_depend_on_blas_threads():
         digests[threads] = subprocess.run(
             [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
             text=True, check=True, timeout=300).stdout.split()
-    assert len(digests["1"]) == 2
+    assert len(digests["1"]) == 3
     assert digests["1"] == digests["2"] == digests[None]
 
 

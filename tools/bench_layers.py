@@ -37,7 +37,12 @@ On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
 * ``green.green_convolve`` on its FFT route;
 * ``green.windowed_mode_field`` itself, whose cost is the matrix product in
   ``fields.plane_wave_sum``;
-* ``ScalarH(0.4).rhs`` and ``ScalarH(0.4).linearize``.
+* ``ScalarH(0.4).rhs`` and ``ScalarH(0.4).linearize``;
+* ``solve.picard_solve`` of ``ScalarH(0.4)`` from zero with the boundary
+  trace 0.3 (e^{i theta}, e^{-2i theta}) at tol 1e-8, one warm
+  ``disk_solve`` per sweep, with its sweep count;
+* one ``solve.newton_refine`` (tol 1e-12) with that trace from the Picard
+  iterate at tol 1e-2, with its step count and GMRES matvec count.
 
 The source is ``windowed_mode_field`` of the seed, which vanishes near the
 edge as ``green_convolve`` requires; the disk solve adds the ring values of
@@ -155,14 +160,22 @@ def measure_dirac(size: int, repeats: int) -> dict:
     return out
 
 
-class _CountingCubic(GeneralCubic):
-    """A ``GeneralCubic`` that counts its ``linearize`` calls: one per GMRES matvec."""
+class _CountingLinearize:
+    """Mixed into a reaction, counts its ``linearize`` calls: one per GMRES matvec."""
 
     calls = 0
 
     def linearize(self, psi, delta):
         self.calls += 1
         return super().linearize(psi, delta)
+
+
+class _CountingCubic(_CountingLinearize, GeneralCubic):
+    pass
+
+
+class _CountingScalar(_CountingLinearize, ScalarH):
+    pass
 
 
 def measure(size: int, repeats: int) -> dict:
@@ -214,6 +227,7 @@ def measure_disk(nx: int, repeats: int) -> dict:
     delta = windowed_mode_field(chart, SplitMix64(SEED + 1))
     spec = ScalarH(0.4)
     return {
+        **measure_disk_solvers(chart, spec, repeats),
         "green.disk_solve.cold": _time(lambda: disk_solve(f, trace), repeats,
                                        before=_clear_disk_caches),
         "green.disk_solve.warm": _time(lambda: disk_solve(f, trace), repeats),
@@ -223,6 +237,44 @@ def measure_disk(nx: int, repeats: int) -> dict:
         "reactions.ScalarH.rhs": _time(lambda: spec.rhs(f), repeats),
         "reactions.ScalarH.linearize": _time(lambda: spec.linearize(f, delta), repeats),
     }
+
+
+def _polar_trace(chart: GridChart) -> np.ndarray:
+    """0.3 (e^{i theta}, e^{-2i theta}) on the boundary ring, theta its polar angle."""
+    bn = chart.boundary_nodes
+    X, Y = chart.grid()
+    angle = np.angle(X[bn[:, 0], bn[:, 1]] + 1j * Y[bn[:, 0], bn[:, 1]])
+    return 0.3 * np.stack([np.exp(1j * angle), np.exp(-2j * angle)], axis=-1)[:, None]
+
+
+def measure_disk_picard(chart: GridChart, spec, repeats: int) -> dict:
+    trace = _polar_trace(chart)
+    sweeps = []
+
+    def solve():
+        sweeps.append(picard_solve(spec, SpinorField.zeros(chart, 1), trace=trace,
+                                   tol=1e-8, max_iter=60)[1].iterations)
+
+    out = _time(solve, repeats)
+    out["sweeps"] = sweeps[-1]
+    return out
+
+
+def measure_disk_solvers(chart: GridChart, spec, repeats: int) -> dict:
+    trace = _polar_trace(chart)
+    start, _ = picard_solve(spec, SpinorField.zeros(chart, 1), trace=trace, tol=1e-2)
+    steps = []
+
+    def refine():
+        steps.append(newton_refine(spec, start, trace=trace, tol=1e-12)[1].steps)
+
+    out = {"solve.picard_solve": measure_disk_picard(chart, spec, repeats),
+           "solve.newton_refine": _time(refine, repeats)}
+    out["solve.newton_refine"]["steps"] = steps[-1]
+    counting = _CountingScalar(spec.h)
+    newton_refine(counting, start, trace=trace, tol=1e-12)
+    out["solve.newton_refine"]["gmres_matvecs"] = counting.calls
+    return out
 
 
 def measure_blowup(size: int, repeats: int) -> dict:
