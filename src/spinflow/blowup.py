@@ -9,8 +9,8 @@ top plateau (envelope values that differ only by roundoff tie); other ties
 resolve to the lexicographically smallest (iy, ix) node index.
 
 Local energies convolve a field's |psi|^4 density with disk stamps, each
-transformed once per tail member.  Of scipy only ``scipy.ndimage`` loads: for
-cluster labels and the rescaled bubble limit; seam merging is numpy.
+transformed once per tail member, with ``scipy.fft`` on bounded charts only;
+clusters are labelled and the bubble limit resampled in numpy.
 """
 
 from __future__ import annotations
@@ -76,17 +76,18 @@ class BlowupPoint:
     liminf_energy: float
 
 
-def _merge_across_seams(labels: np.ndarray, count: int) -> np.ndarray:
-    """Relabel torus clusters so that clusters touching across a seam share a
-    label: 8-neighbours, so a diagonal step across the seam counts.  Min-label
-    propagation with pointer jumping; numbering need not be consecutive."""
-    seams = [(labels[0], np.roll(labels[-1], d)) for d in (-1, 0, 1)]
-    seams += [(labels[:, 0], np.roll(labels[:, -1], d)) for d in (-1, 0, 1)]
-    a = np.concatenate([s[0] for s in seams])
-    b = np.concatenate([s[1] for s in seams])
-    touch = (a > 0) & (b > 0)
-    a, b = np.r_[a[touch], b[touch]], np.r_[b[touch], a[touch]]
-    root, prev = np.arange(count + 1), None
+def label_clusters(mask: np.ndarray, wrap: bool) -> np.ndarray:
+    """8-connected cluster labels of a boolean grid (0 off it), across both
+    seams with ``wrap``: min-label propagation with pointer jumping over the
+    neighbour pairs.  Numbering need not be consecutive."""
+    labels = np.zeros(mask.shape, np.intp)
+    labels[mask] = np.arange(1, np.count_nonzero(mask) + 1)
+    grid = labels if wrap else np.pad(labels, 1)   # a zero border cuts wrapped pairs
+    others = np.stack([np.roll(grid, s, axis=(0, 1)) for s in ((0, 1), (1, -1), (1, 0), (1, 1))])
+    touch = (grid > 0) & (others > 0)
+    near, far = np.broadcast_to(grid, others.shape)[touch], others[touch]
+    a, b = np.r_[near, far], np.r_[far, near]
+    root, prev = np.arange(labels.max() + 1), None
     while not np.array_equal(root, prev):
         prev, root = root, root.copy()
         np.minimum.at(root, a, prev[b])
@@ -124,12 +125,7 @@ def blowup_set(sequence, epsilon: float, radii) -> list:
             np.minimum(env_r, _disk_energy(chart, dens_fft, stamp_fft), out=env_r)
     qualifies = chart.active & (env >= epsilon).all(axis=0)
     envelope = env.min(axis=0)
-    if not qualifies.any():
-        return []
-    from scipy.ndimage import label
-    labels, count = label(qualifies, structure=np.ones((3, 3), dtype=int))
-    if chart.kind == TORUS:
-        labels = _merge_across_seams(labels, count)
+    labels = label_clusters(qualifies, chart.kind == TORUS)
     points = []
     for lab in np.unique(labels[labels > 0]):
         nodes = np.argwhere(labels == lab)

@@ -12,7 +12,7 @@ shifts: the stored section is modulated to a periodic function, transformed,
 and the frequencies along an antiperiodic cycle become 2*pi*(k + 1/2)/L.
 The symbols, the phase and the kernel count of a torus chart are built once
 per chart (``torus_setup``) and read by every spectral operator, which
-applies the phase and transforms in place.
+applies the phase and transforms in place, and by ``conformal.sample_field``.
 """
 
 from __future__ import annotations

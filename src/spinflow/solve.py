@@ -90,17 +90,18 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
     report = PicardReport(False, 0)
     psi = seed.copy()
     theta = 1.0
-    reaction = spec.rhs(psi)  # of the current iterate: the next target (and torus residual)
+    reaction = None     # rhs of the current iterate, once a sweep needs it
     for it in range(1, max_iter + 1):
         # Overflow on the way to the divergence check is an expected, handled path.
         with np.errstate(over="ignore", invalid="ignore"):
+            reaction = spec.rhs(psi) if reaction is None else reaction
             proposal = inverse(reaction if forcing is None else reaction + forcing)
             new = (1.0 - theta) * psi + theta * proposal
             du = lp_norm(new - psi, 2.0)
             report.update_norms.append(du)
             report.damping_history.append(theta)
             psi = new
-            reaction = spec.rhs(psi)
+            reaction = spec.rhs(psi) if chart.kind == TORUS else None
             rnorm = (_residual(psi, reaction, forcing, "spectral")[1]
                      if chart.kind == TORUS else du / theta)
             report.residual_norms.append(rnorm)

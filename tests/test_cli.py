@@ -414,9 +414,8 @@ def test_torus_solve_loads_scipy_only_for_a_newton_step(tmp_path, seed, steps):
 
 
 def test_blowup_loads_no_scipy_sparse(tmp_path):
-    # a fresh process: blowup labels clusters and rescales the bubble limit
-    # with scipy.ndimage, and merges clusters across the seams without
-    # scipy.sparse
+    # a fresh process: on a torus blowup convolves, labels clusters across the
+    # seams and rescales the bubble limit in numpy, so it loads no scipy at all
     chart = GridChart.torus(64, spin_structure="PP")
     amp = (1.1 / bubble_profile_energy(1.0)) ** 0.25
     paths = []
@@ -431,5 +430,14 @@ def test_blowup_loads_no_scipy_sparse(tmp_path):
                             "--out", str(tmp_path)])
     assert len(json.loads((tmp_path / "blowup_report.json").read_text())["points"]) == 1
     assert loaded["import"] == []
-    assert "scipy.ndimage" in loaded["run"]
-    assert [m for m in loaded["run"] if m.startswith("scipy.sparse")] == []
+    assert loaded["run"] == []
+
+
+def test_verify_loads_no_scipy_ndimage(tmp_path):
+    # a fresh process: verify convolves with scipy.fft, but its conformal
+    # checks resample in numpy
+    cfg = write_cfg(tmp_path / "c.cfg", "verify.sizes = 32, 64\n")
+    loaded = _loaded_scipy(["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert loaded["import"] == []
+    assert "scipy.fft" in loaded["run"]
+    assert [m for m in loaded["run"] if m.startswith("scipy.ndimage")] == []

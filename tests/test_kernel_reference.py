@@ -12,11 +12,15 @@ loops of both seeded field builders.  Results must agree to 1e-13 of their maxim
 ``local_energy_grid`` once per field, radius and bisection step, ``ScalarH``
 against its elementwise formulas, and ``green_convolve`` against the
 per-slot transform products it made before the kernel transforms were cached.
-``charts.erode`` must equal ``scipy.ndimage.binary_erosion`` bit for bit,
-``_merge_across_seams`` must group labels as the ``connected_components``
-graph it replaced, and a ``newton_refine`` step, whose GMRES runs on the
-float64 view of the field, must match the step on stacked [re; im] vectors
-to 1e-12 with the same number of matvecs.
+``charts.erode`` must equal ``scipy.ndimage.binary_erosion`` bit for bit;
+``label_clusters`` must group nodes as ``scipy.ndimage.label`` without
+wrapping and, across the torus seams, as ``ndimage.label`` followed by the
+``connected_components`` graph of the seam pairs; ``conformal.sample_field``
+must match ``scipy.ndimage.map_coordinates`` (order 3; ``grid-wrap`` on the
+section modulated to a periodic function, ``mirror`` on bounded charts) to
+1e-12; and a ``newton_refine`` step, whose GMRES runs on the float64 view of
+the field, must match the step on stacked [re; im] vectors to 1e-12 with
+the same number of matvecs.
 """
 
 import numpy as np
@@ -29,11 +33,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from spinflow._blas import one_blas_thread
-from spinflow.blowup import (_merge_across_seams, _min_image_dist2, blowup_set,
-                             extract_bubble, local_energy_grid)
+from spinflow.blowup import (_min_image_dist2, blowup_set, extract_bubble, label_clusters,
+                             local_energy_grid)
 from spinflow.charts import DISK, TORUS, GridChart, SpinorField, erode
 from spinflow.config import parse_config
-from spinflow.conformal import rescale
+from spinflow.conformal import rescale, sample_field
 from spinflow.dirac import dirac_apply
 from spinflow.fields import (DEFAULT_MODES, bubble_profile_energy, planted_bubble,
                              smoothstep7, torus_mode_field)
@@ -367,7 +371,8 @@ def test_lp_norm_bit_identical(chart, p):
 # ---------------------------------------------------------------------------
 
 def _ref_merge_across_seams(labels, count):
-    """``_merge_across_seams`` through a sparse graph of the seam pairs."""
+    """Torus clusters from ``ndimage.label``'s: the labels that touch across a
+    seam (8-neighbours) merge through a sparse graph of the seam pairs."""
     seams = [(labels[0], np.roll(labels[-1], d)) for d in (-1, 0, 1)]
     seams += [(labels[:, 0], np.roll(labels[:, -1], d)) for d in (-1, 0, 1)]
     a = np.concatenate([s[0] for s in seams])
@@ -487,10 +492,11 @@ def _diagonal_contacts(ny, nx):
 def test_seam_merge_matches_connected_components(shape, density):
     rng = np.random.default_rng([*shape, round(100 * density)])
     for _ in range(20):
-        labels, count = ndimage.label(rng.random(shape) < density,
-                                      structure=np.ones((3, 3), dtype=int))
-        assert _same_grouping(_merge_across_seams(labels, count),
+        mask = rng.random(shape) < density
+        labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        assert _same_grouping(label_clusters(mask, True),
                               _ref_merge_across_seams(labels, count))
+        assert _same_grouping(label_clusters(mask, False), labels)
 
 
 @pytest.mark.parametrize("mask, clusters", [
@@ -500,10 +506,82 @@ def test_seam_merge_matches_connected_components(shape, density):
 ], ids=["diagonal", "path-10x25", "path-25x10"])
 def test_seam_merge_chains(mask, clusters):
     labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-    merged = _merge_across_seams(labels, count)
+    merged = label_clusters(mask, True)
     assert count >= 4
     assert np.unique(merged[merged > 0]).size == clusters
     assert _same_grouping(merged, _ref_merge_across_seams(labels, count))
+
+
+def _serpentine(ny, nx):
+    """Every other row, joined at alternate ends into one path, whose C-order
+    numbering runs against the path on every second row."""
+    mask = np.zeros((ny, nx), bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (64, 33), (200, 7)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_labeller_serpentine(shape):
+    mask = _serpentine(*shape)
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    assert count == 1
+    for wrap in (False, True):
+        got = label_clusters(mask, wrap)
+        assert _same_grouping(got, labels)
+        assert np.unique(got[got > 0]).size == 1
+
+
+# ---------------------------------------------------------------------------
+# bicubic resampling
+# ---------------------------------------------------------------------------
+
+def _ref_sample_field(psi, X, Y):
+    """``sample_field`` through ``scipy.ndimage.map_coordinates``: on tori the
+    section is modulated to a periodic function before the spline and
+    demodulated at the sample points."""
+    chart = psi.chart
+    ix = (X - chart.xs[0]) / chart.hx
+    iy = (Y - chart.ys[0]) / chart.hy
+    values, mode = psi.values, "grid-wrap"
+    if chart.kind == TORUS:
+        (sx, sy), (Lx, Ly) = chart.spin_shifts, chart.params
+        Xg, Yg = chart.grid()
+        values = values * np.exp(-2j * np.pi * (sx * Xg / Lx + sy * Yg / Ly))[:, :, None, None]
+    else:
+        ix = np.clip(ix, 0.0, chart.nx - 1)
+        iy = np.clip(iy, 0.0, chart.ny - 1)
+        mode = "mirror"
+    out = np.empty(X.shape + (psi.n, 2), np.complex128)
+    for i in range(psi.n):
+        for s in (0, 1):
+            out[..., i, s] = ndimage.map_coordinates(values[:, :, i, s], np.stack([iy, ix]),
+                                                     order=3, mode=mode)
+    if chart.kind == TORUS:
+        out *= np.exp(2j * np.pi * (sx * X / Lx + sy * Y / Ly))[..., None, None]
+    return out
+
+
+@pytest.mark.parametrize("chart", [
+    *(GridChart.torus(nx, ny, 1.0, 1.3, spin) for spin in SPINS
+      for nx, ny in ((33, 33), (24, 20), (64, 65))),
+    *(GridChart.disk(nx, 0.8) for nx in (33, 65)),
+    *(GridChart.rect(nx, ny, (-1.0, 0.5, -0.3, 0.9)) for nx, ny in ((17, 17), (40, 65))),
+], ids=lambda c: f"{c.kind}-{c.spin_structure or ''}{c.nx}x{c.ny}")
+def test_sample_field_matches_map_coordinates(chart):
+    rng = np.random.default_rng([chart.nx, chart.ny])
+    psi = random_field(chart, n=2, seed=chart.nx)
+    if chart.kind == TORUS:     # several periods, both signs: every seam is crossed
+        X, Y = (rng.uniform(-2.0, 3.0, (40, 9)) for _ in range(2))
+    else:                       # the whole grid, corners and edge nodes included
+        X = rng.uniform(chart.xs[0], chart.xs[-1], (40, 9))
+        Y = rng.uniform(chart.ys[0], chart.ys[-1], (40, 9))
+        X[0, :4] = chart.xs[[0, 0, -1, -1]]
+        Y[0, :4] = chart.ys[[0, -1, 0, -1]]
+    got, want = sample_field(psi, X, Y), _ref_sample_field(psi, X, Y)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

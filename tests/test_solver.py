@@ -133,6 +133,24 @@ class TestPicard:
         assert rep.converged
         assert Counting.calls == rep.iterations + 1
 
+    def test_one_rhs_per_disk_sweep(self):
+        # off the torus nothing reads rhs of the returned iterate, so a sweep
+        # evaluates rhs only of the iterate it starts from
+        class Counting(ScalarH):
+            calls = 0
+
+            def rhs(self, psi):
+                Counting.calls += 1
+                return super().rhs(psi)
+
+        chart = GridChart.disk(25, 1.0)
+        trace = np.zeros((chart.boundary_nodes.shape[0], 1, 2), complex)
+        trace[:, 0, 0] = 0.3
+        _, rep = picard_solve(Counting(0.4), SpinorField.zeros(chart, 1), trace=trace,
+                              tol=1e-8, max_iter=60)
+        assert rep.converged and rep.iterations == 5
+        assert Counting.calls == rep.iterations
+
     def test_pp_torus_rejected(self):
         chart = GridChart.torus(32, spin_structure="PP")
         with pytest.raises(ConfigurationError):

@@ -61,6 +61,16 @@ at scales 0.17 * 0.88^m, it times:
 The last two also record the tracemalloc peak of one warm call
 (``peak_bytes``).
 
+It times ``conformal.rescale`` at the two zooms the CLI makes, with the
+tracemalloc peak of one warm call:
+
+* ``analyze``: the last field of that sequence on the 256^2 PP torus, at
+  scale 0.1 about the bubble's centre onto the radius-4 disk of 129 nodes,
+  as ``blowup.extract_bubble`` builds its limit;
+* ``verify``: the Gaussian-modulated field of ``verify``'s conformal check on
+  the 129^2 square [-1, 1]^2, at scale 0.5 about the origin onto the 146^2
+  square [-2, 2]^2.
+
 On the square [-1, 1]^2 at 129 and 257 nodes with ``enneper_field`` of scale
 0.9 it times ``weierstrass.integrate_surface``, ``weierstrass.mean_curvature``
 and ``weierstrass.mesh_area`` of its mesh, and the CLI's OBJ writer
@@ -94,6 +104,7 @@ from spinflow.blowup import blowup_set, extract_bubble, local_energy_grid
 from spinflow.charts import GridChart, SpinorField
 from spinflow.cli import _write_obj
 from spinflow.config import parse_config
+from spinflow.conformal import rescale
 from spinflow.dirac import dirac_apply, dirac_inverse_spectral
 from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubble,
                              torus_mode_field)
@@ -293,6 +304,24 @@ def measure_blowup(size: int, repeats: int) -> dict:
     return out
 
 
+def measure_rescale(repeats: int) -> dict:
+    torus = GridChart.torus(256, spin_structure="PP")
+    amp = (1.2 / bubble_profile_energy(1.0)) ** 0.25
+    bubble = SpinorField(torus, planted_bubble(torus, (0.3, 0.7), 0.17 * 0.88 ** 7, amp))
+    disk = GridChart.disk(129, radius=4.0)
+    square = GridChart.rect(129, 129, (-1.0, 1.0, -1.0, 1.0))
+    X, Y = square.grid()
+    g = np.exp(-(X ** 2 + Y ** 2) / 0.9) * (1.2 + 0.3 * np.sin(2.1 * X) * np.cos(1.7 * Y))
+    psi = SpinorField.from_components(square, [(g, 0.4j * g)])
+    wide = GridChart.rect(146, 146, (-2.0, 2.0, -2.0, 2.0))
+    out = {}
+    for name, fn in (("analyze", lambda: rescale(bubble, (0.3, 0.7), 0.1, disk)),
+                     ("verify", lambda: rescale(psi, (0.0, 0.0), 0.5, wide))):
+        out[name] = {"conformal.rescale": _time(fn, repeats)}
+        out[name]["conformal.rescale"]["peak_bytes"] = _peak_bytes(fn)
+    return out
+
+
 def measure_surface(nx: int, repeats: int) -> dict:
     psi = enneper_field(GridChart.rect(nx, nx, (-1.0, 1.0, -1.0, 1.0)), 0.9)
     mesh = integrate_surface(psi)
@@ -333,13 +362,15 @@ def main(argv=None) -> int:
         "blowup": {"chart": "torus PP", "n": 1, "sequence": 8,
                    "sizes": {f"{s}x{s}": measure_blowup(s, args.repeats)
                              for s in BLOWUP_SIZES}},
+        "conformal": {"chart": "torus PP 256^2 -> disk 129; rect 129^2 -> rect 146^2",
+                      "n": 1, "sizes": measure_rescale(args.repeats)},
         "surface": {"chart": "rect [-1, 1]^2", "n": 1,
                     "sizes": {f"{s}x{s}": measure_surface(s, args.repeats)
                               for s in SURFACE_SIZES}},
     })
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for chart in ("dirac", "torus", "disk", "blowup", "surface"):
+    for chart in ("dirac", "torus", "disk", "blowup", "conformal", "surface"):
         for size, layers in runs[-1][chart]["sizes"].items():
             for name, t in layers.items():
                 entries = [run[chart]["sizes"][size][name] for run in runs]
