@@ -1,7 +1,7 @@
 """One-thread pin for the OpenBLAS builds bundled with numpy (ILP64) and with
-scipy (LP64, which SuperLU and GMRES call).  The pin binds only a library the
-process has already loaded, so entering it never loads scipy's; code that runs
-scipy inside the pin imports it before entering."""
+scipy (LP64, which SuperLU calls).  The pin binds only a library the process
+has already loaded, so entering it never loads scipy's; code that runs scipy
+inside the pin imports it before entering."""
 
 from __future__ import annotations
 

@@ -9,8 +9,8 @@ top plateau (envelope values that differ only by roundoff tie); other ties
 resolve to the lexicographically smallest (iy, ix) node index.
 
 Local energies convolve a field's |psi|^4 density with disk stamps, each
-transformed once per tail member, with ``scipy.fft`` on bounded charts only;
-clusters are labelled and the bubble limit resampled in numpy.
+transformed once per tail member; the transforms (``numpy.fft`` on every
+chart), the cluster labels and the resampled bubble limit are all numpy.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ free-space kernel and require compact support away from the chart edge; there
 the direct route sums the linear convolution node by node, and the FFT route
 multiplies transforms by the one pair ``conv_transform``/``conv_window``,
 which ``blowup.local_energy_grid`` uses as well.  On the torus the pair is
-the circular transform of the whole grid.  Elsewhere it zero-pads to
-``next_fast_len(2n-1)`` per axis and keeps the n-node output window
-[n-1, 2n-1) of the circular convolution.  That is exact: wrap-around only
-reaches linear indices of at least 2n-1, past the window.  The two kernel
-transforms are cached per chart.
+the circular transform of the whole grid.  Elsewhere ``numpy.fft`` zero-pads
+to ``_fast_len(2n-1)``, the smallest 11-smooth length of at least 2n-1, per
+axis and keeps the n-node output window [n-1, 2n-1) of the circular
+convolution.  That is exact: wrap-around only reaches linear indices of at
+least 2n-1, past the window.  The two kernel transforms are cached per chart.
 
 Both routes evaluate the same sums, so they must agree to roundoff.
 
@@ -95,28 +95,34 @@ def offset_grid(chart: GridChart):
     return dx, dy
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n: a length pocketfft transforms fast."""
+    rest = n
+    for p in (2, 3, 5, 7, 11):
+        while rest % p == 0:
+            rest //= p
+    return n if rest == 1 else _fast_len(n + 1)
+
+
 def conv_transform(chart: GridChart, a: np.ndarray) -> np.ndarray:
     """Forward half of the convolution pair: the circular transform of a node
     grid on the torus, else the transform of a node or offset grid
-    (``offset_grid``) zero-padded to ``next_fast_len(2n-1)`` per axis."""
+    (``offset_grid``) zero-padded to ``_fast_len(2n-1)`` per axis."""
     if chart.kind == TORUS:
         return np.fft.fft2(a)
-    import scipy.fft
-    shape = (scipy.fft.next_fast_len(2 * chart.ny - 1),
-             scipy.fft.next_fast_len(2 * chart.nx - 1))
-    return scipy.fft.fft2(a, shape)
+    return np.fft.fft2(a, (_fast_len(2 * chart.ny - 1), _fast_len(2 * chart.nx - 1)))
 
 
 def conv_window(chart: GridChart, spectrum: np.ndarray) -> np.ndarray:
     """Inverse half of the convolution pair: the whole grid on the torus, else
-    the window [n-1, 2n-1) per axis, where the product of an offset-grid
-    transform and a node-grid transform holds
-    out[t] = sum_s kernel[t - s + (n-1)] src[s]."""
+    the window [n-1, 2n-1) per axis of ``ifft2`` (same bits, y transforms of the
+    window's columns only), where the product of an offset-grid transform and a
+    node-grid transform holds out[t] = sum_s kernel[t - s + (n-1)] src[s]."""
     if chart.kind == TORUS:
         return np.fft.ifft2(spectrum)
-    import scipy.fft
     ny, nx = chart.ny, chart.nx
-    return scipy.fft.ifft2(spectrum)[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
+    cols = np.fft.ifft(spectrum, axis=1)[:, nx - 1:2 * nx - 1]
+    return np.fft.ifft(cols, axis=0)[ny - 1:2 * ny - 1]
 
 
 def _linear_conv_direct(kernel_off: np.ndarray, src: np.ndarray) -> np.ndarray:

@@ -120,6 +120,65 @@ def picard_solve(spec: ReactionSpec, seed: SpinorField,
     return psi, report
 
 
+_RESTART, _MAXITER = 40, 50
+
+
+def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple:
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for
+    A x = b on real vectors from x = 0, at most ``_MAXITER`` cycles of
+    ``_RESTART`` steps: scipy 1.17's ``gmres`` step for step, without a
+    preconditioner and with the Krylov basis grown as it is used.  Returns
+    (x, info), info 0 when ||b - A x|| <= rtol ||b||, else ``_MAXITER``."""
+    eps, bnrm2 = np.finfo(np.float64).eps, np.linalg.norm(b)
+    atol, x, r = rtol * bnrm2, np.zeros_like(b), b
+    if bnrm2 == 0 or bnrm2 < atol:
+        return x, 0
+    ptol, pfactor = bnrm2 * min(1.0, atol / bnrm2), 1.0
+    for _ in range(_MAXITER):
+        h = np.zeros((_RESTART, _RESTART))    # row j: column j of the rotated Hessenberg matrix
+        givens, S = [], np.zeros(_RESTART + 1)
+        S[0] = np.linalg.norm(r)
+        basis = [r * (1 / S[0])]
+        for col in range(min(_RESTART, b.size)):
+            w = matvec(basis[col])
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):    # modified Gram-Schmidt
+                h[col, k] = np.vdot(basis[k], w)
+                w -= h[col, k] * basis[k]
+            h1 = np.linalg.norm(w)
+            breakdown = h1 <= eps * h0      # the Krylov space holds the exact solution
+            g = 0.0 if breakdown else h1
+            if not breakdown:
+                w *= 1 / h1
+            basis.append(w)
+            for k, (c, s) in enumerate(givens):
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            f = h[col, col]     # LAPACK dlartg's rotation, operands well inside the float range
+            h[col, col] = np.copysign(np.sqrt(f * f + g * g), f) if g else f
+            c, s = (abs(f) / abs(h[col, col]), g / h[col, col]) if g else (1.0, 0.0)
+            givens.append((c, s))
+            S[col], S[col + 1] = c * S[col], -s * S[col]
+            presid = abs(S[col + 1])
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:    # singular last column: scipy's pseudo-solve
+            S[col] = 0
+        y = S[:col + 1]         # back substitution in place, skipping zero entries
+        for k in range(col, -1, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        x += y @ np.array(basis[:col + 1])
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        pfactor = max(eps, 0.25 * pfactor) if presid <= ptol else min(1.0, 1.5 * pfactor)
+        ptol = presid * min(pfactor, atol / rnorm)
+    return x, 0 if rnorm <= atol else _MAXITER
+
+
 @dataclass
 class NewtonReport:
     converged: bool
@@ -156,22 +215,16 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
     for step in range(1, max_steps + 1):
         if rnorm <= tol:
             break
-        import scipy.sparse.linalg  # after the break: a run that takes no step loads no scipy
 
         def matvec(vec):
-            lin = spec.linearize(psi, SpinorField(
-                chart, np.ascontiguousarray(vec).view(np.complex128).reshape(shape)))
+            lin = spec.linearize(psi, SpinorField(chart, vec.view(np.complex128).reshape(shape)))
             return vec - inverse(lin).values.view(np.float64).ravel()
 
-        op = scipy.sparse.linalg.LinearOperator(
-            (2 * np.prod(shape), 2 * np.prod(shape)), matvec=matvec, dtype=float)
         rhs_vec = -rho().values.view(np.float64).ravel()
         del rho   # not held through the Krylov solve
         # threaded, GMRES's vector operations cost twice the CPU for little wall time
         with one_blas_thread():
-            sol, info = scipy.sparse.linalg.gmres(
-                op, rhs_vec, atol=0.0, restart=40, maxiter=50,
-                rtol=min(0.1, max(1e-10, 0.1 * tol / rnorm)))
+            sol, info = _gmres(matvec, rhs_vec, min(0.1, max(1e-10, 0.1 * tol / rnorm)))
         if info != 0:
             report.stagnated = True
             report.reason = f"gmres did not converge (info={info}) at step {step}"

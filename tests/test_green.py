@@ -198,12 +198,17 @@ class TestDiskSolve:
         assert max(ratios) / min(ratios) < 1.5
 
 
-# disk_solve of a random source with zero trace, then a disk Picard solve
-# driven by a boundary trace; prints the sha256 of each result
+# disk_solve of a random source with zero trace, a disk Picard solve driven by
+# a boundary trace and its Newton refinement, then one Newton step on a 64^2 AA
+# torus, whose GMRES inner products run in numpy's OpenBLAS; prints the sha256
+# of each result
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
 from spinflow.charts import GridChart, SpinorField
+from spinflow.config import parse_config
+from spinflow.dirac import dirac_apply
+from spinflow.fields import torus_mode_field
 from spinflow.green import disk_solve
 from spinflow.reactions import ScalarH
 from spinflow.solve import newton_refine, picard_solve
@@ -227,6 +232,14 @@ assert nrep.converged and nrep.steps >= 1
 print(hashlib.sha256(psi.values.tobytes()).hexdigest())
 print(hashlib.sha256(sol.values.tobytes()).hexdigest())
 print(hashlib.sha256(refined.values.tobytes()).hexdigest())
+spec = parse_config("reaction.type = general_cubic\\nreaction.h = 1.0\\n").build_reaction()
+torus = GridChart.torus(64, spin_structure="AA")
+target = torus_mode_field(torus, 0.35, 2, 11)
+forcing = dirac_apply(target, "spectral") - spec.rhs(target)
+start, _ = picard_solve(spec, SpinorField.zeros(torus, 2), forcing=forcing, tol=1e-7)
+stepped, trep = newton_refine(spec, start, forcing=forcing, tol=1e-10, max_steps=1)
+assert trep.steps == 1
+print(hashlib.sha256(stepped.values.tobytes()).hexdigest())
 """
 
 
@@ -240,7 +253,7 @@ def test_disk_bytes_do_not_depend_on_blas_threads():
         digests[threads] = subprocess.run(
             [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
             text=True, check=True, timeout=300).stdout.split()
-    assert len(digests["1"]) == 3
+    assert len(digests["1"]) == 4
     assert digests["1"] == digests["2"] == digests[None]
 
 

@@ -11,7 +11,8 @@ loops of both seeded field builders.  Results must agree to 1e-13 of their maxim
 ``blowup_set`` and ``extract_bubble`` against the loops that called
 ``local_energy_grid`` once per field, radius and bisection step, ``ScalarH``
 against its elementwise formulas, and ``green_convolve`` against the
-per-slot transform products it made before the kernel transforms were cached.
+per-slot ``numpy.fft`` transform products it made before the kernel transforms
+were cached.
 ``charts.erode`` must equal ``scipy.ndimage.binary_erosion`` bit for bit;
 ``label_clusters`` must group nodes as ``scipy.ndimage.label`` without
 wrapping and, across the torus seams, as ``ndimage.label`` followed by the
@@ -20,7 +21,10 @@ must match ``scipy.ndimage.map_coordinates`` (order 3; ``grid-wrap`` on the
 section modulated to a periodic function, ``mirror`` on bounded charts) to
 1e-12; and a ``newton_refine`` step, whose GMRES runs on the float64 view of
 the field, must match the step on stacked [re; im] vectors to 1e-12 with
-the same number of matvecs.
+the same number of matvecs.  ``solve._gmres`` must match
+``scipy.sparse.linalg.gmres`` to 1e-12 with the same matvec count and
+``info``, and the padded length of the bounded-chart convolutions must be
+``scipy.fft.next_fast_len``.
 """
 
 import numpy as np
@@ -41,11 +45,12 @@ from spinflow.conformal import rescale, sample_field
 from spinflow.dirac import dirac_apply
 from spinflow.fields import (DEFAULT_MODES, bubble_profile_energy, planted_bubble,
                              smoothstep7, torus_mode_field)
-from spinflow.green import (_free_kernel_ffts, conv_transform, conv_window, dirac_inverse,
-                            green_convolve, kernel_offset_grids, windowed_mode_field)
+from spinflow.green import (_fast_len, _free_kernel_ffts, conv_transform, conv_window,
+                            dirac_inverse, green_convolve, kernel_offset_grids,
+                            windowed_mode_field)
 from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH, _contract
 from spinflow.rng import SplitMix64
-from spinflow.solve import newton_refine, picard_solve, residual
+from spinflow.solve import _gmres, newton_refine, picard_solve, residual
 from spinflow.spinors import (PROJ_MINUS, PROJ_PLUS, SIGMA1, SIGMA2, _region_mask,
                               chirality_project, clifford_multiply, component_inners,
                               lp_norm, pairing, pointwise_norm)
@@ -235,8 +240,8 @@ def _ref_green_fft(f):
     out = np.zeros_like(f.values)
     for i in range(f.n):
         for slot, kernel in enumerate(kernel_offset_grids(chart)):
-            full = scipy.fft.ifft2(scipy.fft.fft2(kernel, shape)
-                                   * scipy.fft.fft2(f.values[:, :, i, 1 - slot], shape))
+            full = np.fft.ifft2(np.fft.fft2(kernel, shape)
+                                * np.fft.fft2(f.values[:, :, i, 1 - slot], shape))
             out[:, :, i, slot] = full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
     if chart.kind == DISK:
         out[~chart.active] = 0.0
@@ -266,6 +271,12 @@ def test_linear_convolution(chart):
 def test_green_fft_bits(chart):
     f = _windowed_pair(chart)
     assert green_convolve(f, "fft").values.tobytes() == _ref_green_fft(f).tobytes()
+
+
+def test_fast_len_matches_next_fast_len():
+    # the padded length of the bounded-chart convolutions
+    assert [_fast_len(n) for n in range(1, 4097)] == \
+        [scipy.fft.next_fast_len(n) for n in range(1, 4097)]
 
 
 def test_kernel_transforms_cached_per_chart():
@@ -676,3 +687,96 @@ def test_newton_step_on_float64_view(spec, n):
     got, rep = newton_refine(new_spec, start, forcing=forcing, tol=1e-10, max_steps=1)
     assert rep.steps == 1 and new_spec.calls == ref_spec.calls > 0
     assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+
+def _counted_gmres(A, b, rtol):
+    """(x, info, matvecs) of ``_gmres`` and of scipy's ``gmres`` with the same
+    restart, cycle limit and tolerance rule."""
+    counts = [0, 0]
+
+    def matvec(i):
+        def apply(vec):
+            counts[i] += 1
+            return A @ vec
+        return apply
+
+    got = _gmres(matvec(0), b, rtol)
+    want = scipy.sparse.linalg.gmres(
+        scipy.sparse.linalg.LinearOperator(A.shape, matvec=matvec(1), dtype=float), b,
+        rtol=rtol, atol=0.0, restart=40, maxiter=50)
+    return (*got, counts[0]), (*want, counts[1])
+
+
+@pytest.mark.parametrize("beta, rtol, cycles_out", [
+    (0.3, 1e-10, False), (0.9, 1e-10, False), (0.5, 3e-14, False), (0.95, 1e-14, True)])
+def test_gmres_restarts_as_scipy(beta, rtol, cycles_out):
+    # a nonsymmetric convection-diffusion matrix that takes several cycles; at
+    # the tight tolerances a cycle's rotated residual passes before the true
+    # one does, which drives the inner-tolerance update both ways
+    n = 300
+    A = 2.0 * np.eye(n) - (1 + beta) * np.eye(n, k=-1) - (1 - beta) * np.eye(n, k=1)
+    b = np.sin(0.37 * np.arange(n)) + 1.0
+    (x, info, calls), (want, want_info, want_calls) = _counted_gmres(A, b, rtol)
+    assert info == want_info == (50 if cycles_out else 0) and calls == want_calls > 40
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gmres_breakdown_as_scipy():
+    # I + u v^T: the Krylov space holds the solution after two steps, and at a
+    # tolerance near roundoff the breakdown test decides when a cycle ends
+    n = 80
+    A = np.eye(n) + np.outer(np.cos(np.arange(n)), np.sin(0.5 * np.arange(n))) / n
+    b = np.linspace(1.0, 2.0, n)
+    (x, info, calls), (want, want_info, want_calls) = _counted_gmres(A, b, 1e-16)
+    assert info == want_info == 0 and calls == want_calls
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gmres_singular_step_as_scipy():
+    # the down shift maps the last unit vector to zero: the first step breaks
+    # down on a zero Hessenberg diagonal, which the pseudo-solve leaves at x = 0
+    A = np.eye(60, k=-1)
+    b = np.zeros(60)
+    b[-1] = 1.0
+    (x, info, calls), (want, want_info, want_calls) = _counted_gmres(A, b, 1e-8)
+    assert info == want_info == 50 and calls == want_calls == 2
+    assert np.array_equal(x, want) and not x.any()
+
+
+def test_gmres_zero_rhs_spends_no_matvec():
+    def matvec(vec):
+        raise AssertionError("matvec on a zero right-hand side")
+
+    x, info = _gmres(matvec, np.zeros(12), 1e-6)
+    assert info == 0 and x.shape == (12,) and not x.any()
+
+
+class _ShiftSpec:
+    """rhs 0; ``linearize`` makes I - S0 o Drhs the cyclic shift of the
+    float64 view, on which restarted GMRES makes no progress from a unit
+    vector."""
+
+    def rhs(self, psi):
+        return SpinorField.zeros(psi.chart, psi.n)
+
+    def linearize(self, psi, delta):
+        flat = delta.values.view(np.float64).ravel()
+        moved = (flat - np.roll(flat, 1)).view(np.complex128).reshape(delta.values.shape)
+        return dirac_apply(SpinorField(delta.chart, moved), "spectral")
+
+
+def test_gmres_exhausts_maxiter_as_scipy():
+    A = np.roll(np.eye(60), 1, axis=0)
+    b = np.zeros(60)
+    b[0] = 1.0
+    (x, info, calls), (want, want_info, want_calls) = _counted_gmres(A, b, 1e-8)
+    assert info == want_info == 50 and calls == want_calls == 50 * 41
+    assert np.array_equal(x, want)
+    # the same stagnation, reported by a Newton step
+    chart = GridChart.torus(8, spin_structure="AA")
+    unit = SpinorField.zeros(chart, 1)
+    unit.values[3, 5, 0, 0] = 1.0
+    psi = SpinorField.zeros(chart, 1)
+    _, rep = newton_refine(_ShiftSpec(), psi, forcing=dirac_apply(unit, "spectral"))
+    assert rep.stagnated and rep.steps == 0
+    assert rep.reason == "gmres did not converge (info=50) at step 1"
