@@ -5,8 +5,8 @@ blockwise as
 
     (D psi)_1 = 2 dbar psi_2,      (D psi)_2 = -2 d psi_1.
 
-Finite differences are centered second order, with one-sided second-order
-stencils on non-periodic edges and on the disk boundary ring.  The spectral
+Finite differences are centered second order, one-sided second order on
+non-periodic edges, and first order at some disk boundary nodes.  The spectral
 mode (torus only) realizes the four spin structures by half-integer frequency
 shifts: the stored section is modulated to a periodic function, transformed,
 and the frequencies along an antiperiodic cycle become 2*pi*(k + 1/2)/L.
@@ -31,48 +31,14 @@ SPECTRAL = "spectral"
 
 
 # ---------------------------------------------------------------------------
-# shifts and finite differences
+# finite differences
 # ---------------------------------------------------------------------------
 
-def _shift(values: np.ndarray, chart: GridChart, axis: int, k: int) -> np.ndarray:
-    """values[..., i + k, ...] along the axis with (anti)periodic wrap: the
-    wrapped entries flip sign along an antiperiodic cycle (shift 1/2)."""
-    out = np.roll(values, -k, axis=axis)
-    if chart.spin_shifts[1 - axis]:
-        sl = [slice(None)] * values.ndim
-        sl[axis] = slice(-k, None) if k > 0 else slice(None, -k)
-        out[tuple(sl)] = -out[tuple(sl)]
-    return out
-
-
-def _diff1_periodic(values, chart, axis, h):
-    return (_shift(values, chart, axis, 1) - _shift(values, chart, axis, -1)) / (2.0 * h)
-
-
-def _diff2_periodic(values, chart, axis, h):
-    return (_shift(values, chart, axis, 1) - 2.0 * values
-            + _shift(values, chart, axis, -1)) / (h * h)
-
-
-def _diff1_bounded(values, axis, h):
-    """Centered interior, one-sided second order at the two edges."""
-    out = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return out
-
-
-def _diff2_bounded(values, axis, h):
-    out = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    o[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-    o[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
-    return out
+def _centered(left, centre, right, h, order):
+    """The centered stencil of each order, second-order accurate."""
+    if order == 1:
+        return (right - left) / (2.0 * h)
+    return (right - 2.0 * centre + left) / (h * h)
 
 
 def _fix_disk_nodes(out, values, chart, axis, h, order):
@@ -93,16 +59,15 @@ def _fix_disk_nodes(out, values, chart, axis, h, order):
         near.append(values[tuple(at)])
         ok.append((pos + d >= 0) & (pos + d < size) & chart.active[tuple(at)])
     m2, m1, _, p1, p2 = ok
+    rules = [(m1 & p1, lambda l2, l1, c, r1, r2: _centered(l1, c, r1, h, order))]
     if order == 1:
-        rules = ((m1 & p1, lambda l2, l1, c, r1, r2: (r1 - l1) / (2.0 * h)),
-                 (p1 & p2, lambda l2, l1, c, r1, r2: (-3.0 * c + 4.0 * r1 - r2) / (2.0 * h)),
-                 (m1 & m2, lambda l2, l1, c, r1, r2: (3.0 * c - 4.0 * l1 + l2) / (2.0 * h)),
-                 (p1, lambda l2, l1, c, r1, r2: (r1 - c) / h),
-                 (m1, lambda l2, l1, c, r1, r2: (c - l1) / h))
+        rules += [(p1 & p2, lambda l2, l1, c, r1, r2: (-3.0 * c + 4.0 * r1 - r2) / (2.0 * h)),
+                  (m1 & m2, lambda l2, l1, c, r1, r2: (3.0 * c - 4.0 * l1 + l2) / (2.0 * h)),
+                  (p1, lambda l2, l1, c, r1, r2: (r1 - c) / h),
+                  (m1, lambda l2, l1, c, r1, r2: (c - l1) / h)]
     else:
-        rules = ((m1 & p1, lambda l2, l1, c, r1, r2: (r1 - 2.0 * c + l1) / (h * h)),
-                 (p1 & p2, lambda l2, l1, c, r1, r2: (c - 2.0 * r1 + r2) / (h * h)),
-                 (m1 & m2, lambda l2, l1, c, r1, r2: (c - 2.0 * l1 + l2) / (h * h)))
+        rules += [(p1 & p2, lambda l2, l1, c, r1, r2: (c - 2.0 * r1 + r2) / (h * h)),
+                  (m1 & m2, lambda l2, l1, c, r1, r2: (c - 2.0 * l1 + l2) / (h * h))]
     out[tuple(ring)] = 0.0
     for use, rule in reversed(rules):           # earlier rules overwrite later ones
         out[ring[0][use], ring[1][use]] = rule(*(v[use] for v in near))
@@ -110,14 +75,30 @@ def _fix_disk_nodes(out, values, chart, axis, h, order):
 
 
 def _derivative(values: np.ndarray, chart: GridChart, axis: int, order: int) -> np.ndarray:
-    """First or second derivative along an array axis (1 = x, 0 = y), second
-    order: periodic stencils with spin-structure wrap, one-sided edges on
-    bounded axes, the disk ring recomputed node by node."""
+    """First or second derivative along an array axis (1 = x, 0 = y).  Centered
+    in the interior; on a periodic axis the end rows read across the seam, the
+    wrapped node times -1 along an antiperiodic cycle; on a bounded axis the
+    end rows are one-sided, second order (three points for the first
+    derivative, four for the second); on a disk ``_fix_disk_nodes`` then
+    recomputes the boundary ring, first order at some nodes."""
     h, periodic = (chart.hx, chart.periodic_x) if axis == 1 else (chart.hy, chart.periodic_y)
+    at = lambda k: (slice(None),) * axis + (k,)     # index of row(s) k along the axis
+    v = lambda k: values[at(k)]
+    out = np.empty_like(values)
+    out[at(slice(1, -1))] = _centered(v(slice(None, -2)), v(slice(1, -1)), v(slice(2, None)),
+                                      h, order)
     if periodic:
-        out = (_diff1_periodic if order == 1 else _diff2_periodic)(values, chart, axis, h)
+        first, last = v(0), v(-1)
+        if chart.spin_shifts[1 - axis]:         # antiperiodic: the wrapped node flips sign
+            first, last = -first, -last
+        out[at(0)] = _centered(last, v(0), v(1), h, order)
+        out[at(-1)] = _centered(v(-2), v(-1), first, h, order)
+    elif order == 1:
+        out[at(0)] = (-3.0 * v(0) + 4.0 * v(1) - v(2)) / (2.0 * h)
+        out[at(-1)] = (3.0 * v(-1) - 4.0 * v(-2) + v(-3)) / (2.0 * h)
     else:
-        out = (_diff1_bounded if order == 1 else _diff2_bounded)(values, axis, h)
+        out[at(0)] = (2.0 * v(0) - 5.0 * v(1) + 4.0 * v(2) - v(3)) / (h * h)
+        out[at(-1)] = (2.0 * v(-1) - 5.0 * v(-2) + 4.0 * v(-3) - v(-4)) / (h * h)
     if chart.kind == DISK:
         out = _fix_disk_nodes(out, values, chart, axis, h, order=order)
         out[~chart.active] = 0.0

@@ -195,7 +195,9 @@ def newton_refine(spec: ReactionSpec, psi: SpinorField,
     ``trace``: it strictly decreases or the report flags stagnation, and
     ``report.reason`` says why the steps stopped ("converged" on success).  A
     step leaves about rtol * rnorm, so GMRES runs to rtol = 0.1 tol / rnorm in
-    [1e-10, 0.1].  ``psi`` is never written or copied."""
+    [1e-10, 0.1].  ``psi`` is never written or copied; like Picard's seed it
+    must be finite and zero on outside nodes (else PreconditionError)."""
+    psi.validate()
     chart = psi.chart
     fixed = dirac_inverse(chart, trace)
     inverse = fixed if trace is None else dirac_inverse(chart)

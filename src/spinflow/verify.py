@@ -37,7 +37,7 @@ def _rate_check(errors, lo=3.0, hi=5.0):
     return ok, factors
 
 
-def _conformal_errors(sizes, seed):
+def _conformal_errors(sizes):
     """Energy transfer errors for rescale / cylinder / sphere per size.
 
     The rescale and cylinder constructions keep boundary terms alive so the
@@ -137,7 +137,7 @@ def verify_report(cfg: RunConfig, seed: int) -> dict:
     add("estimate_ratio_drift", drift < 0.2, drift, 0.2,
         detail=[lv["max_ratio"] for lv in ratio["levels"]])
 
-    conf = _conformal_errors(sizes, seed)
+    conf = _conformal_errors(sizes)
     for name, floor in (("rescale", 1e-9), ("cylinder", 1e-9), ("sphere", 1e-12)):
         errs = conf[name]
         last_ok = errs[-1] <= 5e-4

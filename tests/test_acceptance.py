@@ -132,7 +132,7 @@ class TestAcceptance:
 
     def test_05_conformal_invariance(self):
         t0 = time.time()
-        errs = _conformal_errors((65, 129, 257), seed=0)
+        errs = _conformal_errors((65, 129, 257))
         details = []
         ok = True
         for name in ("rescale", "cylinder", "sphere"):

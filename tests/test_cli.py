@@ -77,6 +77,37 @@ solver.amplitude = 4.0
         code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
         assert code == 5
 
+    def test_non_convergence_writes_both_files(self, tmp_path, capsys):
+        # the sweep limit ends Picard unconverged: exit 5 after both files
+        cfg = write_cfg(tmp_path / "c.cfg", """
+chart.nx = 32
+reaction.type = scalar_h
+reaction.h = 1.0
+solver.manufactured = true
+solver.max_iter = 2
+""")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 5
+        rep = json.loads((out / "solve_report.json").read_text())
+        assert rep["picard"]["converged"] is False
+        assert rep["picard"]["reason"] == "not converged after 2 sweeps"
+        assert "newton" not in rep
+        assert read_field(out / "solution.spnf").chart.nx == 32
+        assert "Picard iteration did not converge" in capsys.readouterr().err
+
+    def test_divergence_writes_no_files(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", """
+chart.nx = 32
+reaction.type = scalar_h
+reaction.h = 1.0
+solver.manufactured = true
+solver.amplitude = 4.0
+""")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 5
+        assert not (out / "solution.spnf").exists()
+        assert not (out / "solve_report.json").exists()
+
     def test_missing_config_io_exit_code(self, tmp_path):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)])

@@ -147,7 +147,7 @@ class TestSphere:
 class TestConformalRates:
     def test_transfers_improve_at_least_second_order(self):
         from spinflow.verify import _conformal_errors
-        errs = _conformal_errors((33, 65, 129), seed=0)
+        errs = _conformal_errors((33, 65, 129))
         for name in ("rescale", "cylinder", "sphere"):
             seq = errs[name]
             assert seq[-1] <= 5e-4

@@ -4,7 +4,7 @@ import pytest
 from spinflow.charts import GridChart, SpinorField
 from spinflow.conformal import rescale
 from spinflow.dirac import _torus_setup, dirac_apply, dirac_inverse_spectral
-from spinflow.errors import ConfigurationError, DivergenceError
+from spinflow.errors import ConfigurationError, DivergenceError, PreconditionError
 from spinflow.fields import torus_mode_field
 from spinflow.green import _disk_factor, disk_solve, green_convolve
 from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH
@@ -110,6 +110,11 @@ class TestPicard:
         assert len(rep.damping_history) == rep.iterations
         assert rep.damping_history[0] == 1.0 and rep.damping_history[-1] == 0.5
         assert all(b <= a for a, b in zip(rep.damping_history, rep.damping_history[1:]))
+
+    @pytest.mark.parametrize("damping", [0.0, -0.5, 1.5, np.nan])
+    def test_damping_outside_unit_interval_rejected(self, torus64, damping):
+        with pytest.raises(ConfigurationError, match=r"damping must lie in \(0, 1\]"):
+            picard_solve(_NoSweep(0.5), SpinorField.zeros(torus64, 1), damping=damping)
 
     def test_reason_names_the_sweep_limit(self, torus64):
         spec = ScalarH(1.0)
@@ -248,6 +253,37 @@ class TestNewton:
         _, short = newton_refine(spec, sol, forcing=forcing, tol=1e-10, max_steps=1)
         assert not short.converged and not short.stagnated
         assert short.reason == "not converged after 1 steps"
+
+    def test_stagnation_keeps_the_input(self, torus64):
+        # a Jacobian of the wrong sign and 30 times too large gives a step that
+        # raises rho: Newton rejects it, keeps its input and names the step
+        class Misscaled(ScalarH):
+            def linearize(self, psi, delta):
+                return -30.0 * super().linearize(psi, delta)
+
+        spec = Misscaled(1.0)
+        _, forcing = manufactured(torus64, spec)
+        sol, _ = picard_solve(spec, SpinorField.zeros(torus64, 1), forcing=forcing,
+                              tol=1e-4)
+        out, rep = newton_refine(spec, sol, forcing=forcing, tol=1e-10)
+        assert rep.stagnated and not rep.converged and rep.steps == 0
+        assert rep.reason.startswith("residual did not decrease at step 1 (")
+        assert out is sol and len(rep.residual_norms) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        chart = GridChart.torus(32)
+        values = torus_mode_field(chart, 0.3, 1, seed=5).values.copy()
+        values[3, 4, 0, 0] = bad
+        with pytest.raises(PreconditionError, match="non-finite"):
+            newton_refine(_NoSweep(0.5), SpinorField(chart, values))
+
+    def test_outside_data_rejected(self):
+        chart = GridChart.disk(17)
+        values = np.zeros((17, 17, 1, 2), np.complex128)
+        values[0, 0, 0, 0] = 1.0                # a corner node, outside the disk
+        with pytest.raises(PreconditionError, match="outside nodes"):
+            newton_refine(_NoSweep(0.5), SpinorField(chart, values))
 
     def test_inner_solve_stops_at_the_target(self, torus64):
         # near the solution the GMRES tolerance follows tol / rnorm, so a step

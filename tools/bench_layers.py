@@ -35,6 +35,8 @@ On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
   system and its SuperLU factor;
 * ``green.disk_solve`` warm, with both cached;
 * ``green.green_convolve`` on its FFT route;
+* ``dirac.diff_x`` and ``dirac.diff_y``, the bounded-axis finite differences
+  with the boundary ring recomputed node by node;
 * ``green.windowed_mode_field`` itself, whose cost is the matrix product in
   ``fields.plane_wave_sum``;
 * ``ScalarH(0.4).rhs`` and ``ScalarH(0.4).linearize``;
@@ -105,7 +107,7 @@ from spinflow.charts import GridChart, SpinorField
 from spinflow.cli import _write_obj
 from spinflow.config import parse_config
 from spinflow.conformal import rescale
-from spinflow.dirac import dirac_apply, dirac_inverse_spectral
+from spinflow.dirac import diff_x, diff_y, dirac_apply, dirac_inverse_spectral
 from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubble,
                              torus_mode_field)
 from spinflow.green import (_disk_factor, _disk_system, disk_solve, green_convolve,
@@ -243,6 +245,8 @@ def measure_disk(nx: int, repeats: int) -> dict:
                                        before=_clear_disk_caches),
         "green.disk_solve.warm": _time(lambda: disk_solve(f, trace), repeats),
         "green.green_convolve.fft": _time(lambda: green_convolve(f), repeats),
+        "dirac.diff_x": _time(lambda: diff_x(f.values, chart), repeats),
+        "dirac.diff_y": _time(lambda: diff_y(f.values, chart), repeats),
         "green.windowed_mode_field": _time(
             lambda: windowed_mode_field(chart, SplitMix64(SEED)), repeats),
         "reactions.ScalarH.rhs": _time(lambda: spec.rhs(f), repeats),
