@@ -28,7 +28,7 @@ Both routes evaluate the same sums, so they must agree to roundoff.
 
 On the disk ``disk_solve`` imposes a boundary trace.  D = 2 [[0, dbar],
 [-d, 0]] and d = conj o dbar o conj, so slot 2 is one scalar problem for
-2 dbar (``_disk_system``) and slot 1 its conjugate problem for conj(psi1).
+2 dbar and slot 1 its conjugate problem for conj(psi1) (``boxscheme``).
 
 ``dirac_inverse(chart)`` is the one place that chooses how to invert D for
 the solvers: the spectral inverse on a kernel-free torus, ``disk_solve`` with
@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._blas import one_blas_thread
+from .boxscheme import _BOX, _box_adjoint, _box_apply, _corner, _disk_factor
 from .charts import DISK, RECT, TORUS, GridChart, SpinorField, erode
 from .dirac import _CACHE_CHARTS, diff_x, diff_y, dirac_inverse_spectral, torus_setup
 from .errors import ConfigurationError, DomainError, PreconditionError, SolverError
@@ -199,66 +200,16 @@ def green_convolve(f: SpinorField, method: str = "fft") -> SpinorField:
 # disk boundary-value solve
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_CACHE_CHARTS)
-def _disk_system(chart: GridChart):
-    """Sparse scalar system ``B``: the box scheme of 2 dbar = Dx + i Dy that
-    ``disk_solve`` solves for slot 2 and, as its conjugate problem, slot 1.
-
-    Rows sit at cell centers (corner differences at the four cell corners,
-    right-hand side averaged over the corners); node-based centered
-    differences would leave exact checkerboard modes in the kernel.  One row
-    per full cell (``GridChart.cells``) in C order, over the corners (j,i),
-    (j,i+1), (j+1,i), (j+1,i+1); then one trace row per boundary ring node in
-    ring order, weighted by 1/h.  Columns: the active nodes in C order.
-
-    Returns ``(B, corners)``: the CSR matrix and the flat node ids
-    ``iy*nx + ix`` of the cell corners, shape (4, n_cells), in row order.
-    """
-    from scipy.sparse import csr_matrix
-    nodes = np.flatnonzero(chart.active)                # column u is node nodes[u]
-    jj, ii = np.nonzero(chart.cells)
-    first = jj * chart.nx + ii                          # corner (j, i) of each cell
-    corners = np.stack([first, first + 1, first + chart.nx, first + chart.nx + 1])
-    ring = np.ravel_multi_index(chart.boundary_nodes.T, (chart.ny, chart.nx))
-    n_cells, n_rows = first.size, first.size + ring.size
-    hx, hy = chart.hx, chart.hy
-    cx, cy = (-1, +1, -1, +1), (-1, -1, +1, +1)
-    stencil = [sx / (2 * hx) + 1j * sy / (2 * hy) for sx, sy in zip(cx, cy)]
-    rows = np.concatenate([np.repeat(np.arange(n_cells), 4), np.arange(n_cells, n_rows)])
-    cols = np.searchsorted(nodes, np.concatenate([corners.T.ravel(), ring]))
-    vals = np.concatenate([np.tile(stencil, n_cells), np.full(ring.size, 1.0 / chart.h)])
-    return csr_matrix((vals, (rows, cols)), shape=(n_rows, nodes.size)), corners
-
-
-def _adjoint(B, v: np.ndarray) -> np.ndarray:
-    """B^H v through the free CSC view ``B.T``, without storing B^H."""
-    return (B.T @ v.conj()).conj()
-
-
 def _slots(M: np.ndarray, c: int) -> np.ndarray:
     """View of columns c and n + c of a (rows, 2n) array: component c's two slots."""
     return M.reshape(len(M), 2, -1)[:, :, c]
-
-
-@lru_cache(maxsize=_CACHE_CHARTS)
-def _disk_factor(chart: GridChart):
-    """SuperLU factor of ``B^H B`` for the scalar system B (``_disk_system``).
-
-    B^H B is Hermitian positive definite, so diagonal pivots are valid; small
-    supernodes keep SuperLU's transient workspace down.
-    """
-    import scipy.sparse.linalg
-    B = _disk_system(chart)[0]
-    return scipy.sparse.linalg.splu(
-        (B.conj().T @ B).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        relax=4, panel_size=4, options=dict(SymmetricMode=True))
 
 
 def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     """Solve D psi = f on the disk with psi = trace on the boundary ring.
 
     Per component, slot 2 solves B u = (mean f1, trace2 / h) for the scalar
-    system B of ``_disk_system``, and slot 1 its conjugate problem
+    system B of ``_box_apply``, and slot 1 its conjugate problem
     B u = (-conj(mean f2), conj(trace1) / h), psi1 = conj(u).  All 2n problems
     are solved in least squares through the normal equations in one solve by
     the factor cached per chart (``_disk_factor``), refined by the same factor.
@@ -280,26 +231,23 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
     if trace.shape != (bnodes.shape[0], f.n, 2):
         raise PreconditionError(
             f"trace must have shape (n_boundary, n, 2) = {(bnodes.shape[0], f.n, 2)}")
-    import scipy.sparse.linalg  # noqa: F401  loads scipy's OpenBLAS before the pin
     n = f.n
     with one_blas_thread():
-        B, corners = _disk_system(chart)
-
         # right-hand sides: corner means (a Python sum, whose start value 0
         # turns four -0.0 corners into +0.0), then the weighted trace rows,
         # slot 2's data first in each row; column c of d is slot 2 of component
         # c, column n + c slot 1's conjugate problem: conj, and -1 on cell rows
-        mean = 0.25 * sum(f.values.reshape(-1, n, 2)[corners])
+        mean = 0.25 * sum(_corner(f.values, dy, dx) for dy, dx in _BOX)[chart.cells]
         rhs = np.concatenate([mean, (1.0 / chart.h) * trace[..., ::-1]])
         d = rhs.transpose(0, 2, 1).reshape(-1, 2 * n)
         np.conjugate(d[:, n:], out=d[:, n:])
-        np.negative(d[:corners.shape[1], n:], out=d[:corners.shape[1], n:])
+        np.negative(d[:len(mean), n:], out=d[:len(mean), n:])
 
         # normal equations by the cached factor, every column in one solve,
         # refined with the same factor while above tol
-        lu = _disk_factor(chart)
-        U = np.zeros((B.shape[1], 2 * n), np.complex128)
-        R = _adjoint(B, d)
+        factor = _disk_factor(chart)
+        U = np.zeros((int(chart.active.sum()), 2 * n), np.complex128)
+        R = _box_adjoint(chart, d)
         snorm = [np.linalg.norm(_slots(R, c)) for c in range(n)]
         histories = [[] if s == 0 else [1.0] for s in snorm]
         # written so that a NaN residual counts as not converged and not falling
@@ -309,12 +257,12 @@ def disk_solve(f: SpinorField, trace: np.ndarray, tol: float = 1e-10) -> tuple:
                 raise SolverError(f"disk_solve: relative normal residual {worst[-1]:.3e} "
                                   f"above tol after {len(worst) - 1} solves", worst)
             cols = live + [n + c for c in live]
-            U[:, cols] += lu.solve(R[:, cols])
-            R = _adjoint(B, d - B @ U)
+            U[:, cols] += factor.solve(R[:, cols])
+            R = _box_adjoint(chart, d - _box_apply(chart, U))
             for c in live:
                 histories[c].append(float(np.linalg.norm(_slots(R, c)) / snorm[c]))
 
-        misfit = B @ U - d
+        misfit = _box_apply(chart, U) - d
         ls_residuals = [float(np.linalg.norm(_slots(misfit, c)) / np.linalg.norm(_slots(d, c)))
                         if _slots(d, c).any() else 0.0 for c in range(n)]
     out = np.zeros_like(f.values)

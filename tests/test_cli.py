@@ -442,6 +442,34 @@ def test_torus_solve_loads_no_scipy(tmp_path, seed, steps):
     assert loaded["run"] == []
 
 
+_DISK_SOLVES = """
+import json, sys
+import numpy as np
+from spinflow.charts import GridChart, SpinorField
+from spinflow.reactions import ScalarH
+from spinflow.solve import newton_refine, picard_solve
+chart = GridChart.disk(33, 1.0)
+bn = chart.boundary_nodes
+X, Y = chart.grid()
+angle = np.angle(X[bn[:, 0], bn[:, 1]] + 1j * Y[bn[:, 0], bn[:, 1]])
+trace = 0.3 * np.stack([np.exp(1j * angle), np.exp(-2j * angle)], axis=-1)[:, None]
+start, _ = picard_solve(ScalarH(0.4), SpinorField.zeros(chart, 1), trace=trace, tol=1e-2)
+_, rep = newton_refine(ScalarH(0.4), start, trace=trace, tol=1e-12)
+print(json.dumps({"steps": rep.steps,
+                  "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+
+def test_disk_solves_load_no_scipy():
+    # a fresh process: a disk Picard solve and a disk Newton step factor and
+    # solve the box scheme's normal equations in numpy, so neither loads scipy
+    proc = subprocess.run([sys.executable, "-c", _DISK_SOLVES], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["steps"] >= 1
+    assert loaded["scipy"] == []
+
+
 def test_blowup_loads_no_scipy_sparse(tmp_path):
     # a fresh process: on a torus blowup convolves, labels clusters across the
     # seams and rescales the bubble limit in numpy, so it loads no scipy at all

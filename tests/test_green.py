@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from spinflow.boxscheme import _box_apply
 from spinflow.charts import GridChart, SpinorField
 from spinflow.dirac import dirac_apply, dirac_inverse_spectral
 from spinflow.errors import ConfigurationError, PreconditionError, SolverError
 from spinflow.fields import compact_bump_field
-from spinflow.green import (_disk_system, dirac_inverse, disk_solve, estimate_ratio,
+from spinflow.green import (dirac_inverse, disk_solve, estimate_ratio,
                             green_convolve, kernel_matrix, kernel_offset_grids,
                             windowed_mode_field, gradient_magnitude)
 from spinflow.rng import SplitMix64
@@ -257,8 +258,8 @@ def test_disk_bytes_do_not_depend_on_blas_threads():
     assert digests["1"] == digests["2"] == digests[None]
 
 
-def _manufactured_solve_data(nx):
-    chart = GridChart.disk(nx, 1.0)
+def _manufactured_solve_data(nx, radius=1.0):
+    chart = GridChart.disk(nx, radius)
     psi_star, f = TestDiskSolve._manufactured(chart)
     bn = chart.boundary_nodes
     return chart, f, psi_star.values[bn[:, 0], bn[:, 1]]
@@ -269,26 +270,33 @@ class TestDiskSolveLU:
     @pytest.mark.parametrize("radius", (1.0, 0.73))
     def test_slot_one_is_the_conjugate_problem(self, nx, radius):
         # the two-slot system splits into the scalar system B for slot 2 and
-        # conj(B), cell rows negated, for slot 1: one factor serves both
+        # conj(B), cell rows negated, for slot 1: one factor serves both; on a
+        # seeded random block the stencil operator B gives the loop-built
+        # system's products exactly
         chart = GridChart.disk(nx, radius)
-        B = _disk_system(chart)[0]
         A = _reference_system(chart)
         n_cells = int(chart.cells.sum())
         ring = 2 * n_cells + 2 * np.arange(chart.boundary_nodes.shape[0])
         rows2 = np.concatenate([2 * np.arange(n_cells), ring + 1])
         rows1 = np.concatenate([2 * np.arange(n_cells) + 1, ring])
-        sign = np.concatenate([-np.ones(n_cells), np.ones(ring.size)])
-        assert (A[rows2][:, 1::2] != B).nnz == 0
-        assert (A[rows1][:, 0::2] != scipy.sparse.diags(sign) @ B.conj()).nnz == 0
+        sign = np.concatenate([-np.ones(n_cells), np.ones(ring.size)])[:, None]
+        rng = np.random.default_rng(nx)
+        U = (rng.standard_normal((A.shape[1] // 2, 3))
+             + 1j * rng.standard_normal((A.shape[1] // 2, 3)))
+        BU = _box_apply(chart, U)
+        assert np.array_equal(A[rows2][:, 1::2] @ U, BU)
+        assert np.array_equal(A[rows1][:, 0::2] @ U.conj(), sign * BU.conj())
         assert A[rows2][:, 0::2].count_nonzero() == 0
         assert A[rows1][:, 1::2].count_nonzero() == 0
 
-    @pytest.mark.parametrize("nx, n", [(49, 1), (65, 1), (129, 1), (257, 1), (49, 2)],
-                             ids=["49", "65", "129", "257", "49-two-components"])
-    def test_matches_lsmr(self, nx, n):
+    @pytest.mark.parametrize("nx, radius, n", [
+        (49, 1.0, 1), (65, 1.0, 1), (129, 1.0, 1), (257, 1.0, 1), (49, 1.0, 2),
+        (9, 1.0, 1), (17, 0.73, 1), (97, 0.73, 1)],
+        ids=["49", "65", "129", "257", "49-two-components", "9", "17-r0.73", "97-r0.73"])
+    def test_matches_lsmr(self, nx, radius, n):
         # forming B^H B squares the condition number; check against LSMR on the
         # two-slot system, component by component
-        chart, f, trace = _manufactured_solve_data(nx)
+        chart, f, trace = _manufactured_solve_data(nx, radius)
         if n == 2:
             X, Y = chart.grid()
             bn = chart.boundary_nodes

@@ -30,10 +30,11 @@ warm call (``peak_bytes``).
 
 On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
 
-* ``green.disk_solve`` cold: each timed call follows clearing the caches of
-  ``_disk_system`` and ``_disk_factor``, so it pays for building the sparse
-  system and its SuperLU factor;
-* ``green.disk_solve`` warm, with both cached;
+* ``boxscheme._disk_factor``: building the block factor of the box scheme's
+  normal equations, its cache cleared ahead of each timed call, with the
+  bytes the factor holds (``kept_bytes``) and the tracemalloc peak of one
+  build (``peak_bytes``);
+* ``green.disk_solve`` warm, repeated with the factor cached;
 * ``green.green_convolve`` on its FFT route;
 * ``dirac.diff_x`` and ``dirac.diff_y``, the bounded-axis finite differences
   with the boundary ring recomputed node by node;
@@ -103,6 +104,7 @@ import numpy as np
 import scipy
 
 from spinflow.blowup import blowup_set, extract_bubble, local_energy_grid
+from spinflow.boxscheme import _disk_factor
 from spinflow.charts import GridChart, SpinorField
 from spinflow.cli import _write_obj
 from spinflow.config import parse_config
@@ -110,8 +112,7 @@ from spinflow.conformal import rescale
 from spinflow.dirac import diff_x, diff_y, dirac_apply, dirac_inverse_spectral
 from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubble,
                              torus_mode_field)
-from spinflow.green import (_disk_factor, _disk_system, disk_solve, green_convolve,
-                            windowed_mode_field)
+from spinflow.green import disk_solve, green_convolve, windowed_mode_field
 from spinflow.reactions import GeneralCubic, ScalarH, _contract
 from spinflow.rng import SplitMix64
 from spinflow.solve import newton_refine, picard_solve
@@ -150,15 +151,28 @@ def _time(fn, repeats: int, before=None) -> dict:
             "repeats": repeats}
 
 
-def _peak_bytes(fn) -> int:
-    """tracemalloc peak of one call of ``fn`` above the memory traced before it."""
+def _traced_bytes(fn) -> tuple:
+    """tracemalloc bytes that one call of ``fn`` leaves allocated, and its peak,
+    both above the memory traced before it."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         fn()
-        return tracemalloc.get_traced_memory()[1] - held
+        now, peak = tracemalloc.get_traced_memory()
+        return now - held, peak - held
     finally:
         tracemalloc.stop()
+
+
+def _peak_bytes(fn) -> int:
+    """tracemalloc peak of one call of ``fn`` above the memory traced before it."""
+    return _traced_bytes(fn)[1]
+
+
+def _fresh_factor(chart: GridChart):
+    """Build the disk factor anew; the cache holds it after."""
+    _disk_factor.cache_clear()
+    _disk_factor(chart)
 
 
 def measure_dirac(size: int, repeats: int) -> dict:
@@ -225,11 +239,6 @@ def measure(size: int, repeats: int) -> dict:
     return out
 
 
-def _clear_disk_caches():
-    _disk_system.cache_clear()
-    _disk_factor.cache_clear()
-
-
 def measure_disk(nx: int, repeats: int) -> dict:
     chart = GridChart.disk(nx, 1.0)
     f = windowed_mode_field(chart, SplitMix64(SEED))
@@ -239,10 +248,12 @@ def measure_disk(nx: int, repeats: int) -> dict:
     trace[:, 0, 0] = np.exp(1j * X[bn[:, 0], bn[:, 1]])
     delta = windowed_mode_field(chart, SplitMix64(SEED + 1))
     spec = ScalarH(0.4)
+    kept, peak = _traced_bytes(lambda: _fresh_factor(chart))
     return {
         **measure_disk_solvers(chart, spec, repeats),
-        "green.disk_solve.cold": _time(lambda: disk_solve(f, trace), repeats,
-                                       before=_clear_disk_caches),
+        "boxscheme._disk_factor": {
+            **_time(lambda: _disk_factor(chart), repeats, before=_disk_factor.cache_clear),
+            "kept_bytes": kept, "peak_bytes": peak},
         "green.disk_solve.warm": _time(lambda: disk_solve(f, trace), repeats),
         "green.green_convolve.fft": _time(lambda: green_convolve(f), repeats),
         "dirac.diff_x": _time(lambda: diff_x(f.values, chart), repeats),
