@@ -8,9 +8,10 @@ element.  A blow-up point is the node nearest the centroid of its cluster's
 top plateau (envelope values that differ only by roundoff tie); other ties
 resolve to the lexicographically smallest (iy, ix) node index.
 
-Local energies convolve a field's |psi|^4 density with disk stamps, each
-transformed once per tail member; the transforms (``numpy.fft`` on every
-chart), the cluster labels and the resampled bubble limit are all numpy.
+Local energies convolve a field's real |psi|^4 density with real disk
+stamps, each transformed once per tail member by ``numpy.fft``'s real pair:
+circular on the torus, else padded and windowed as ``green.conv_transform``/
+``conv_window``.  The cluster labels and the resampled bubble limit are numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .charts import DISK, TORUS, GridChart, SpinorField
 from .conformal import rescale
 from .errors import (ConfigurationError, DegenerateFitError, ExtractionError,
                      PreconditionError)
-from .green import conv_transform, conv_window, gradient_magnitude, offset_grid
+from .green import _fast_len, gradient_magnitude, offset_grid
 from .spinors import energy, pointwise_norm
 
 
@@ -38,30 +39,40 @@ def _min_image_dist2(chart: GridChart, cx: float, cy: float):
     return dx * dx + dy * dy
 
 
+def _rfft(chart: GridChart, a: np.ndarray) -> np.ndarray:
+    """Real transform of a node or offset grid: circular on the torus, else
+    zero-padded to ``_fast_len(2n-1)`` per axis."""
+    torus = chart.kind == TORUS
+    return np.fft.rfft2(a, (chart.ny, chart.nx) if torus else
+                        (_fast_len(2 * chart.ny - 1), _fast_len(2 * chart.nx - 1)))
+
+
 def _density_fft(psi: SpinorField) -> np.ndarray:
-    return conv_transform(psi.chart, pointwise_norm(psi) ** 4 * psi.chart.weights)
+    return _rfft(psi.chart, pointwise_norm(psi) ** 4 * psi.chart.weights)
 
 
 def _stamp_dist2(chart: GridChart) -> np.ndarray:
     """Squared offsets that stamps are cut from: min-image from node (0, 0) on
-    the torus, else the ``green.offset_grid`` that ``conv_window`` expects."""
+    the torus, else the ``green.offset_grid`` that the output window expects."""
     dx, dy = (chart.min_image_offset(chart.xs[0], chart.ys[0]) if chart.kind == TORUS
               else offset_grid(chart))
     return dx * dx + dy * dy
 
 
 def _stamp_fft(chart: GridChart, radius: float) -> np.ndarray:
-    """``green.conv_transform`` of the indicator of B(0, radius)."""
-    return conv_transform(chart, (_stamp_dist2(chart) <= radius * radius).astype(float))
+    """``_rfft`` of the indicator of B(0, radius)."""
+    return _rfft(chart, (_stamp_dist2(chart) <= radius * radius).astype(float))
 
 
 def _disk_energy(chart: GridChart, dens_fft: np.ndarray, stamp_fft: np.ndarray) -> np.ndarray:
     """E(psi; B(x, r)) for every node x from the two transforms.  Each branch
     keeps its operand order, since complex products are not bitwise
     commutative."""
+    ny, nx = chart.ny, chart.nx
     if chart.kind == TORUS:
-        return conv_window(chart, dens_fft * stamp_fft).real
-    return np.maximum(conv_window(chart, stamp_fft * dens_fft).real, 0.0)
+        return np.fft.irfft2(dens_fft * stamp_fft, (ny, nx))
+    rows = np.fft.ifft(stamp_fft * dens_fft, axis=0)[ny - 1:2 * ny - 1]   # the y window
+    return np.maximum(np.fft.irfft(rows, _fast_len(2 * nx - 1))[:, nx - 1:2 * nx - 1], 0.0)
 
 
 def local_energy_grid(psi: SpinorField, radius: float) -> np.ndarray:
@@ -174,7 +185,7 @@ def extract_bubble(sequence, point: BlowupPoint, epsilon: float,
             stamp = dist2 <= lam * lam
             key = int(np.count_nonzero(stamp))
             if key not in peaks:
-                stamp_fft = conv_transform(chart, stamp.astype(float))
+                stamp_fft = _rfft(chart, stamp.astype(float))
                 grid = np.where(window, _disk_energy(chart, dens_fft, stamp_fft), -np.inf)
                 k = int(np.argmax(grid))
                 peaks[key] = grid.flat[k], np.unravel_index(k, grid.shape)

@@ -126,9 +126,9 @@ def diff2_y(values: np.ndarray, chart: GridChart) -> np.ndarray:
 # spectral transform with spin-structure shifts
 # ---------------------------------------------------------------------------
 
-# Per-chart caches (the torus setup here, kernel grids, disk systems and disk
-# factors in ``green``) hold at most this many charts each; a disk factor takes
-# about 60 MB at 257 nodes.
+# Per-chart caches (the torus setup here, the kernel transforms in ``green``,
+# the disk factors in ``boxscheme``) hold at most this many charts each; a disk
+# factor holds 178.8 MB of Schur-complement inverses at 257 nodes.
 _CACHE_CHARTS = 16
 
 

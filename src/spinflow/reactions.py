@@ -4,9 +4,9 @@ Variants:
 
 * ``GeneralCubic``   rhs^i = H^i_{jkl} <psi^j, psi^k> psi^l with a real
   rank-4 coefficient tensor, constant ``(n, n, n, n)`` or per-node
-  ``(ny, nx, n, n, n, n)``.  Both go through one contraction and no BLAS:
-  ``spinors.node_product`` of ``H`` and the pairing matrix ``<psi^j, psi^k>``
-  gives a per-node ``(n, n)`` matrix, and a second one multiplies ``psi``.
+  ``(ny, nx, n, n, n, n)``, both through one contraction on ``(ny, nx)`` node
+  planes, no BLAS: pairing planes ``P_jk = <psi^j, psi^k>`` (j <= k once, real
+  diagonal) give ``M_il = H^i_{jkl} P_jk``, and the rhs is ``M_il psi^l``.
 * ``ScalarH``        n = 1 special case  rhs = H |psi|^2 psi: a
   ``GeneralCubic`` whose per-node tensor is the scalar H, so the mean
   curvature equation runs through the same contraction.
@@ -35,20 +35,19 @@ It is the one number of the equation that enters the small-energy margin
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .charts import GridChart, SpinorField
 from .errors import ConfigurationError
-from .spinors import component_inners, node_product, pairing
 
 CHIRAL_ALPHA = {"su2": 1.0, "nil": 0.5, "sl2": 1.5}
 
 
 def _as_node_scalar(h, chart: GridChart) -> np.ndarray:
-    if callable(h):
-        X, Y = chart.grid()
-        return np.asarray(h(X, Y), dtype=float) + np.zeros((chart.ny, chart.nx))
-    arr = np.asarray(h, dtype=float)
+    """H from a number, an (ny, nx) array or H(X, Y) giving either; never broadcast."""
+    arr = np.asarray(h(*chart.grid()) if callable(h) else h, dtype=float)
     if arr.ndim == 0:
         return np.full((chart.ny, chart.nx), float(arr))
     if arr.shape != (chart.ny, chart.nx):
@@ -56,12 +55,46 @@ def _as_node_scalar(h, chart: GridChart) -> np.ndarray:
     return arr
 
 
-def _contract(t: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_jkl t^i_jkl P^jk v^l per node for a constant or per-node t, no GEMM:
-    M^i_l = t^i_(jk)l P^(jk) with i a leading axis, then M v, by ``node_product``."""
-    M = node_product(P.reshape(P.shape[:-2] + (1, 1, -1)),
-                     t.reshape(t.shape[:-3] + (-1, t.shape[-1])))
-    return node_product(M[..., 0, :], v)
+def _inner(a: np.ndarray, b: np.ndarray, j: int, k: int) -> np.ndarray:
+    """<a^j, b^k> per node, an (ny, nx) plane; for j = k its real part from real
+    products, slot 1's pair plus slot 2's (the order of ``pointwise_norm``)."""
+    x, y = (a.real[..., j, s] * b.real[..., j, s] + a.imag[..., j, s] * b.imag[..., j, s]
+            if j == k else a[..., j, s] * np.conj(b[..., k, s]) for s in (0, 1))
+    return x + y
+
+
+def _pairing(v: np.ndarray, d=None) -> dict:
+    """Node planes P[j, k] of the Hermitian matrix <v^j, v^k> of a node-major
+    (ny, nx, n, 2) array or, given d, of its derivative <d^j, v^k> + <v^j, d^k>:
+    each j <= k built once, the diagonal real, P[k, j] = conj(P[j, k])."""
+    P = {}
+    for j, k in itertools.combinations_with_replacement(range(v.shape[2]), 2):
+        p = _inner(v if d is None else d, v, j, k)
+        P[j, k] = p if d is None else p + (_inner(v, d, j, k) if k > j else p)
+        if k > j:
+            P[k, j] = np.conj(P[j, k])
+    return P
+
+
+def _contract(t: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
+    """out_is = sum over (P, w) in ``terms`` of sum_l M_il w_ls, M_il = sum_jk
+    t_ijkl P[j, k], by in-place multiply-adds on (ny, nx) planes: the scalar
+    t_ijkl of a constant tensor or the plane t[:, :, i, j, k, l] of a per-node
+    one, no BLAS.  M is real when the pairings are (n = 1): out = M w."""
+    n = out.shape[2]
+    m = np.empty(out.shape[:2], np.result_type(*terms[0][0].values()))
+    # the products added onto m and out (complex, as m is once n > 1); none for one term
+    prod = np.empty(out.shape[:2], out.dtype) if n * len(terms) > 1 else None
+    for i, (q, (P, w)), l in itertools.product(range(n), enumerate(terms), range(n)):
+        for r, (jk, p) in enumerate(P.items()):
+            np.multiply(t[(..., i) + jk + (l,)], p, out=prod if r else m)
+            if r:
+                m += prod
+        for s in range(2):
+            np.multiply(m, w[..., l, s], out=prod if q or l else out[..., i, s])
+            if q or l:
+                out[..., i, s] += prod
+    return out
 
 
 class ReactionSpec:
@@ -103,18 +136,15 @@ class GeneralCubic(ReactionSpec):
 
     def rhs(self, psi: SpinorField) -> SpinorField:
         self._check(psi)
-        t = self._tensor_on(psi.chart)
-        out = _contract(t, component_inners(psi), psi.values)
-        return SpinorField(psi.chart, out)
+        t, v = self._tensor_on(psi.chart), psi.values
+        return SpinorField(psi.chart, _contract(t, [(_pairing(v), v)], np.empty_like(v)))
 
     def linearize(self, psi: SpinorField, delta: SpinorField) -> SpinorField:
         self._check(psi)
-        t = self._tensor_on(psi.chart)
-        v, d = psi.values, delta.values
-        dP = pairing(d, v)
-        dP = dP + np.conj(np.swapaxes(dP, -1, -2))  # + pairing(v, d), bit for bit
-        out = _contract(t, dP, v) + _contract(t, component_inners(psi), d)
-        return SpinorField(psi.chart, out)
+        self._check(delta)
+        t, v, d = self._tensor_on(psi.chart), psi.values, delta.values
+        terms = [(_pairing(v), d), (_pairing(v, d), v)]
+        return SpinorField(psi.chart, _contract(t, terms, np.empty_like(v)))
 
     def coefficient_bound(self, chart: GridChart) -> float:
         t = self._tensor_on(chart)

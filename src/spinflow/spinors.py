@@ -45,11 +45,6 @@ def clifford_defect() -> float:
     return float(max(defects))
 
 
-def pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a^j, b^k> per node of two (ny, nx, n, 2) field arrays: (ny, nx, n, n)."""
-    return np.einsum("yxjs,yxks->yxjk", a, np.conj(b))
-
-
 def node_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_l a[..., i, l] b[..., l, s], leading axes broadcast, l unrolled: no BLAS."""
     out = a[..., :, 0, None] * b[..., None, 0, :]
@@ -75,11 +70,6 @@ def chirality_project(sign: int, psi: SpinorField) -> SpinorField:
     if sign not in (+1, -1):
         raise PreconditionError("projector sign must be +1 or -1")
     return apply_matrix(PROJ_PLUS if sign > 0 else PROJ_MINUS, psi)
-
-
-def component_inners(psi: SpinorField) -> np.ndarray:
-    """Matrix of products <psi^j, psi^k>, shape (ny, nx, n, n)."""
-    return pairing(psi.values, psi.values)
 
 
 def pointwise_norm(psi: SpinorField) -> np.ndarray:

@@ -2,10 +2,11 @@
 the implementations they replaced.
 
 Each reference is the earlier code kept verbatim in spirit: the three-operand
-einsums of ``GeneralCubic`` for constant and per-node tensors, the per-node
-einsum and batched matmul that ``_contract`` used before its two node products,
-the pairing and 2x2 block einsums behind ``pairing`` and ``apply_matrix``, the
-FFT linear convolution padded to 3n-2, and the per-mode full-grid exponential
+einsums of ``GeneralCubic`` for constant and per-node tensors, which also check
+the plane-wise ``_contract`` and the pairing planes of ``_pairing`` on strided,
+F-ordered and reversed arrays, the 2x2 block einsums behind ``apply_matrix``,
+the FFT linear convolution padded to 3n-2 (with real transforms for the local
+energies), and the per-mode full-grid exponential
 loops of both seeded field builders.  Results must agree to 1e-13 of their maximum;
 ``lp_norm`` must equal its earlier quadrature bit for bit, and so must
 ``blowup_set`` and ``extract_bubble`` against the loops that called
@@ -48,12 +49,13 @@ from spinflow.fields import (DEFAULT_MODES, bubble_profile_energy, planted_bubbl
 from spinflow.green import (_fast_len, _free_kernel_ffts, conv_transform, conv_window,
                             dirac_inverse, green_convolve, kernel_offset_grids,
                             windowed_mode_field)
-from spinflow.reactions import ChiralUV, CurvatureCubic, GeneralCubic, ScalarH, _contract
+from spinflow.reactions import (ChiralUV, CurvatureCubic, GeneralCubic, ScalarH, _contract,
+                                _pairing)
 from spinflow.rng import SplitMix64
 from spinflow.solve import _gmres, newton_refine, picard_solve, residual
 from spinflow.spinors import (PROJ_MINUS, PROJ_PLUS, SIGMA1, SIGMA2, _region_mask,
-                              chirality_project, clifford_multiply, component_inners,
-                              lp_norm, pairing, pointwise_norm)
+                              chirality_project, clifford_multiply, lp_norm,
+                              pointwise_norm)
 
 from conftest import random_field, zero_outside
 
@@ -79,15 +81,31 @@ def _ref_contract(t, P, v):
     return np.einsum("yxijkl,yxjk,yxls->yxis", t, P, v)
 
 
+def _ref_pairing(a, b):
+    return np.einsum("yxjs,yxks->yxjk", a, np.conj(b))
+
+
 def _ref_rhs(t, psi):
-    return _ref_contract(t, component_inners(psi), psi.values)
+    v = psi.values
+    return _ref_contract(t, _ref_pairing(v, v), v)
 
 
 def _ref_linearize(t, psi, delta):
     v, d = psi.values, delta.values
-    dP = (np.einsum("yxjs,yxks->yxjk", d, np.conj(v))
-          + np.einsum("yxjs,yxks->yxjk", v, np.conj(d)))
-    return _ref_contract(t, dP, v) + _ref_contract(t, component_inners(psi), d)
+    dP = _ref_pairing(d, v) + _ref_pairing(v, d)
+    return _ref_contract(t, dP, v) + _ref_contract(t, _ref_pairing(v, v), d)
+
+
+def _layouts(a):
+    """``a`` contiguous, as a strided view, F-ordered and reversed along the grid."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+    wide[..., ::2] = a
+    return [a, wide[..., ::2], np.asfortranarray(a), a[::-1, ::-1]]
+
+
+def _per_node(rng, ny, nx, n):
+    """A per-node tensor as a non-contiguous view (grid axes swapped)."""
+    return np.swapaxes(rng.standard_normal((nx, ny) + (n,) * 4), 0, 1)
 
 
 @pytest.mark.parametrize("spin", SPINS)
@@ -99,7 +117,8 @@ def test_cubic_contraction(spin, n, size):
     rng = np.random.default_rng(10 * n + nx)
     psi = random_field(chart, n=n, seed=nx + n)
     delta = random_field(chart, n=n, seed=nx + n + 1)
-    tensors = [rng.standard_normal((n,) * 4), rng.standard_normal((ny, nx) + (n,) * 4)]
+    tensors = [rng.standard_normal((n,) * 4), rng.standard_normal((ny, nx) + (n,) * 4),
+               _per_node(rng, ny, nx, n)]
     for t in tensors:
         spec = GeneralCubic(t)
         _close(spec.rhs(psi).values, _ref_rhs(t, psi))
@@ -109,55 +128,72 @@ def test_cubic_contraction(spin, n, size):
     _close(curv.linearize(psi, delta).values, _ref_linearize(curv.tensor, psi, delta))
 
 
-def _ref_two_step_contract(t, P, v):
-    return np.einsum("...ijkl,...jk->...il", t, P) @ v
-
-
 @pytest.mark.parametrize("n,per_node", [(1, False), (2, False), (3, False), (2, True),
                                         (1, True), (3, True)],
                          ids=["n1", "n2", "n3", "n2-per-node", "n1-per-node", "n3-per-node"])
 def test_contract_against_einsum_matmul(n, per_node):
-    # _contract (two node products, one path for constant and per-node
-    # tensors) against the per-node einsum and batched matmul it replaced; P as
-    # the pairing matrix, as a general complex matrix, and as a non-contiguous
-    # view; v contiguous and strided
+    # _contract (one path of plane multiply-adds for constant and per-node
+    # tensors) against the einsum contraction, with one and with two (P, w)
+    # terms; P as the Hermitian pairing planes and as the planes of a general
+    # complex matrix (views into it), w and the per-node tensor contiguous
+    # and non-contiguous
     chart = GridChart.torus(24, 20, spin_structure="AA")
     rng = np.random.default_rng(n)
-    psi = random_field(chart, n=n, seed=n)
-    t = rng.standard_normal(((chart.ny, chart.nx) if per_node else ()) + (n,) * 4)
+    v = random_field(chart, n=n, seed=n).values
+    d = random_field(chart, n=n, seed=n + 10).values
+    ts = ([rng.standard_normal((chart.ny, chart.nx) + (n,) * 4),
+           _per_node(rng, chart.ny, chart.nx, n)] if per_node
+          else [rng.standard_normal((n,) * 4)])
     general = rng.standard_normal((chart.ny, chart.nx, n, n)) \
         + 1j * rng.standard_normal((chart.ny, chart.nx, n, n))
-    wide = np.zeros((chart.ny, chart.nx, n, 4), np.complex128)
-    wide[..., ::2] = psi.values
-    for v in (psi.values, wide[..., ::2]):
-        for P in (component_inners(psi), general, np.swapaxes(general, -1, -2)):
-            _close(_contract(t, P, v), _ref_two_step_contract(t, P, v))
+    mats = [_ref_pairing(v, v), general]
+    for t in ts:
+        for w, x in zip(_layouts(v), _layouts(d)):
+            for P in mats:
+                planes = {(j, k): P[..., j, k] for j in range(n) for k in range(n)}
+                out = _contract(t, [(planes, w)], np.empty(v.shape, complex))
+                _close(out, np.einsum("...ijkl,...jk,...ls->...is", t, P, w))
+            two = [(_pairing(v), x), (_pairing(v, d), w)]
+            ref = (np.einsum("...ijkl,...jk,...ls->...is", t, _ref_pairing(v, v), x)
+                   + np.einsum("...ijkl,...jk,...ls->...is", t,
+                               _ref_pairing(d, v) + _ref_pairing(v, d), w))
+            _close(_contract(t, two, np.empty(v.shape, complex)), ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pairing_against_einsum(n):
-    # both argument orders, on contiguous arrays and on strided views
+    # the pairing planes and their derivative along d against the einsum
+    # matrices, on contiguous arrays, strided views, F-ordered and reversed
+    # copies; the diagonal planes are real
     chart = GridChart.torus(24, 20, spin_structure="PA")
     v = random_field(chart, n=n, seed=n).values
     d = random_field(chart, n=n, seed=n + 10).values
-    tall = np.zeros((2 * chart.ny, chart.nx, n, 2), np.complex128)
-    tall[::2] = d
-    for dd, vv in ((d, v), (tall[::2], v), (d[::-1, ::-1], v[::-1, ::-1])):
-        for a, b in ((dd, vv), (vv, dd)):
-            _close(pairing(a, b), np.einsum("yxjs,yxks->yxjk", a, np.conj(b)))
+    for vv, dd in zip(_layouts(v), _layouts(d)):
+        for P, ref in ((_pairing(vv), _ref_pairing(vv, vv)),
+                       (_pairing(vv, dd), _ref_pairing(dd, vv) + _ref_pairing(vv, dd))):
+            assert sorted(P) == [(j, k) for j in range(n) for k in range(n)]
+            for (j, k), plane in P.items():
+                assert plane.shape == (chart.ny, chart.nx)
+                assert (plane.dtype == float) == (j == k)
+                _close(plane, ref[..., j, k].real if j == k else ref[..., j, k])
 
 
 @pytest.mark.parametrize("nx", [64, 192])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_swapped_pairing_is_conjugate_transpose(n, nx):
-    # GeneralCubic.linearize builds pairing(v, d) as the conjugate transpose
-    # of pairing(d, v); the two must agree bit for bit, C- and F-ordered
+    # the planes below the diagonal are the conjugates of those above, and
+    # the derivative <d^j, v^k> + <v^j, d^k> is the same with v and d swapped,
+    # bit for bit, C- and F-ordered
     chart = GridChart.torus(nx, spin_structure="AA")
     v = random_field(chart, n=n, seed=n).values
     d = random_field(chart, n=n, seed=n + 10).values
     for dd, vv in ((d, v), (np.asfortranarray(d), np.asfortranarray(v))):
-        swapped = np.conj(np.swapaxes(pairing(dd, vv), -1, -2))
-        assert swapped.tobytes() == pairing(vv, dd).tobytes()
+        for P in (_pairing(vv), _pairing(vv, dd)):
+            for j in range(n):
+                for k in range(j + 1, n):
+                    assert P[k, j].tobytes() == np.conj(P[j, k]).tobytes()
+        swapped, P = _pairing(dd, vv), _pairing(vv, dd)
+        assert all(swapped[jk].tobytes() == P[jk].tobytes() for jk in P)
 
 
 @pytest.mark.parametrize("n", [1, 2])

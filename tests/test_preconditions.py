@@ -18,7 +18,7 @@ from spinflow.errors import (ConfigurationError, DomainError, ExtractionError, F
                              PreconditionError)
 from spinflow.fieldfile import read_field, write_field
 from spinflow.green import disk_solve, green_convolve
-from spinflow.reactions import ChiralUV, GeneralCubic
+from spinflow.reactions import ChiralUV, GeneralCubic, ScalarH
 from spinflow.spinors import chirality_project, clifford_multiply, energy, lp_norm
 from spinflow.weierstrass import induced_metric_residual, integrate_surface
 
@@ -112,6 +112,13 @@ CASES = {
                                 ConfigurationError, "must have 4 (constant) or 6"),
     "GeneralCubic/not_square": (lambda: GeneralCubic(np.zeros((2, 2, 2, 3))),
                                 ConfigurationError, "must be square in its four index axes"),
+    "GeneralCubic/linearize_direction_n": (
+        lambda: GeneralCubic(np.zeros((2, 2, 2, 2))).linearize(SpinorField.zeros(TORUS, 2),
+                                                               SpinorField.zeros(TORUS, 3)),
+        ConfigurationError, "GeneralCubic expects n=2, field has n=3"),
+    "ScalarH/callable_row": (lambda: ScalarH(lambda X, Y: X[0]).rhs(_zeros(TORUS)),
+                             ConfigurationError,
+                             "scalar coefficient shape must match the chart"),
     "ChiralUV/unknown_preset": (lambda: ChiralUV("so3"),
                                 ConfigurationError, "unknown chiral preset 'so3'"),
     "clifford_multiply/alpha_3": (lambda: clifford_multiply(3, _zeros(TORUS)),

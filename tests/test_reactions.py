@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,35 @@ class TestPerNodeCubic:
                      lambda: spec.coefficient_bound(torus_pp)):
             with pytest.raises(ConfigurationError):
                 call()
+
+
+class TestCubicMemory:
+    @staticmethod
+    def _peak(fn) -> int:
+        """tracemalloc peak of one warm call of ``fn`` above what was held before."""
+        fn()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("per_node", [False, True], ids=["constant", "per-node"])
+    def test_peak_in_field_sizes(self, per_node):
+        # the contraction works on (ny, nx) planes: beyond its output, rhs
+        # holds less than two fields at once and linearize less than three
+        # (64^2, n = 2); a per-node (n, n) matrix or pairing array of every
+        # node takes a field or more each
+        chart = GridChart.torus(64, spin_structure="AA")
+        rng = np.random.default_rng(8)
+        spec = GeneralCubic(rng.standard_normal(((64, 64) if per_node else ()) + (2,) * 4))
+        psi = random_field(chart, n=2, seed=1)
+        delta = random_field(chart, n=2, seed=2)
+        field = psi.values.nbytes
+        assert self._peak(lambda: spec.rhs(psi)) <= 3 * field
+        assert self._peak(lambda: spec.linearize(psi, delta)) <= 4 * field
 
 
 class TestLinearization:

@@ -2,6 +2,8 @@
 Green layer and the analysis layers.
 
     PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_23.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_30.json \
+        --sections reactions
 
 On an AA torus with n = 2 at 128^2, 192^2 and 256^2 it times
 ``dirac.dirac_apply`` in FD and in spectral mode and
@@ -11,9 +13,11 @@ the bytes of one field as ``field_bytes``).
 
 On the same tori it times:
 
-* ``reactions._contract`` with a constant tensor and the pairing matrix;
-* ``GeneralCubic.rhs`` and ``GeneralCubic.linearize``;
-* ``spinors.component_inners``;
+* ``reactions._pairing``, the pairing planes <psi^j, psi^k> of the field;
+* ``reactions._contract`` of the constant tensor with those planes and the
+  field, into a preallocated output;
+* ``GeneralCubic.rhs`` and ``GeneralCubic.linearize``, each with the
+  tracemalloc peak of one warm call (``peak_bytes``);
 * one ``picard_solve`` of a manufactured target (amplitude 0.3, tol 1e-8);
 * one ``newton_refine`` (tol 1e-10) from that Picard solution, the Newton
   step of ``spinflow solve`` with its default tolerances.
@@ -27,6 +31,14 @@ worker threads too; the Picard entry also records its sweep count and the
 Newton entry its step count, its GMRES matvec count (``linearize`` calls per
 refine, counted in one extra untimed call) and the tracemalloc peak of one
 warm call (``peak_bytes``).
+
+The ``reactions`` section times ``GeneralCubic.rhs`` and
+``GeneralCubic.linearize`` alone on the 192^2 AA torus for n = 1, 2 and 3,
+with the ``general_cubic`` tensor of ``reaction.h = 1.0`` for each n and the
+fields ``torus_mode_field`` of amplitude 0.3 and 0.1 (seeds 1 and 2), each
+with the tracemalloc peak of one warm call (``peak_bytes``) and the bytes of
+one field (``field_bytes``).  It calls only the public reactions, so the same
+tool times an older source tree too.
 
 On a unit disk with n = 1 at 97, 129 and 257 nodes it times:
 
@@ -79,7 +91,9 @@ On the square [-1, 1]^2 at 129 and 257 nodes with ``enneper_field`` of scale
 and ``weierstrass.mesh_area`` of its mesh, and the CLI's OBJ writer
 ``cli._write_obj`` (into a temporary directory).
 
-Each invocation appends one run, with the machine (CPU count, numpy and
+``--sections`` picks a comma-separated subset of the sections ``dirac``,
+``torus``, ``reactions``, ``disk``, ``blowup``, ``conformal`` and
+``surface`` (default: all).  Each invocation appends one run, with the machine (CPU count, numpy and
 scipy versions, BLAS thread variables), to the list ``runs[<label>]`` of the
 output JSON, keeping every run already in the file.  Two source trees are
 compared by alternating invocations with ``PYTHONPATH`` at each tree's
@@ -113,16 +127,18 @@ from spinflow.dirac import diff_x, diff_y, dirac_apply, dirac_inverse_spectral
 from spinflow.fields import (bubble_profile_energy, enneper_field, planted_bubble,
                              torus_mode_field)
 from spinflow.green import disk_solve, green_convolve, windowed_mode_field
-from spinflow.reactions import GeneralCubic, ScalarH, _contract
+from spinflow import reactions
+from spinflow.reactions import GeneralCubic, ScalarH
 from spinflow.rng import SplitMix64
 from spinflow.solve import newton_refine, picard_solve
-from spinflow.spinors import component_inners
 from spinflow.weierstrass import integrate_surface, mean_curvature, mesh_area
 
 SIZES = (128, 192, 256)
 DISK_SIZES = (97, 129, 257)
 BLOWUP_SIZES = (128, 256)
 SURFACE_SIZES = (129, 257)
+REACTION_SIZE = 192
+REACTION_NS = (1, 2, 3)
 RADII = (0.16, 0.14, 0.125)
 N = 2
 SEED = 1
@@ -210,7 +226,8 @@ def measure(size: int, repeats: int) -> dict:
     spec = parse_config("reaction.type = general_cubic\nreaction.h = 1.0\n").build_reaction()
     psi = torus_mode_field(chart, 0.3, N, SEED)
     delta = torus_mode_field(chart, 0.1, N, SEED + 1)
-    P = component_inners(psi)
+    P = reactions._pairing(psi.values)
+    buf = np.empty_like(psi.values)
     forcing = dirac_apply(psi, "spectral") - spec.rhs(psi)
     start, _ = picard_solve(spec, SpinorField.zeros(chart, N), forcing=forcing, tol=1e-8)
     sweeps, steps = [], []
@@ -223,10 +240,10 @@ def measure(size: int, repeats: int) -> dict:
         steps.append(newton_refine(spec, start, forcing=forcing, tol=1e-10)[1].steps)
 
     out = {
-        "reactions._contract": _time(lambda: _contract(spec.tensor, P, psi.values), repeats),
-        "reactions.GeneralCubic.rhs": _time(lambda: spec.rhs(psi), repeats),
-        "reactions.GeneralCubic.linearize": _time(lambda: spec.linearize(psi, delta), repeats),
-        "spinors.component_inners": _time(lambda: component_inners(psi), repeats),
+        "reactions._pairing": _time(lambda: reactions._pairing(psi.values), repeats),
+        "reactions._contract": _time(
+            lambda: reactions._contract(spec.tensor, [(P, psi.values)], buf), repeats),
+        **measure_cubic(spec, psi, delta, repeats),
         "solve.picard_solve": _time(solve, repeats),
         "solve.newton_refine": _time(refine, repeats),
     }
@@ -237,6 +254,25 @@ def measure(size: int, repeats: int) -> dict:
     out["solve.newton_refine"]["gmres_matvecs"] = counting.calls
     out["solve.newton_refine"]["peak_bytes"] = _peak_bytes(refine)
     return out
+
+
+def measure_cubic(spec, psi, delta, repeats: int) -> dict:
+    """``rhs`` and ``linearize`` of ``spec``, each with its tracemalloc peak."""
+    out = {}
+    for name, fn in (("reactions.GeneralCubic.rhs", lambda: spec.rhs(psi)),
+                     ("reactions.GeneralCubic.linearize", lambda: spec.linearize(psi, delta))):
+        out[name] = _time(fn, repeats)
+        out[name]["peak_bytes"] = _peak_bytes(fn)
+        out[name]["field_bytes"] = psi.values.nbytes
+    return out
+
+
+def measure_reactions(n: int, repeats: int) -> dict:
+    chart = GridChart.torus(REACTION_SIZE, spin_structure="AA")
+    spec = parse_config(f"reaction.type = general_cubic\nreaction.n = {n}\n"
+                        "reaction.h = 1.0\n").build_reaction()
+    return measure_cubic(spec, torus_mode_field(chart, 0.3, n, SEED),
+                         torus_mode_field(chart, 0.1, n, SEED + 1), repeats)
 
 
 def measure_disk(nx: int, repeats: int) -> dict:
@@ -350,45 +386,59 @@ def measure_surface(nx: int, repeats: int) -> dict:
         }
 
 
+def _sections(repeats: int) -> dict:
+    """Each section's builder: a call giving its chart, n and per-size entries."""
+    return {
+        "dirac": lambda: {"chart": "torus AA", "n": N, "sizes": {
+            f"{s}x{s}": measure_dirac(s, repeats) for s in SIZES}},
+        "torus": lambda: {"chart": "torus AA", "n": N, "sizes": {
+            f"{s}x{s}": measure(s, repeats) for s in SIZES}},
+        "reactions": lambda: {"chart": f"torus AA {REACTION_SIZE}^2", "sizes": {
+            f"n{n}": measure_reactions(n, repeats) for n in REACTION_NS}},
+        "disk": lambda: {"chart": "disk radius 1", "n": 1, "sizes": {
+            f"{s}x{s}": measure_disk(s, repeats) for s in DISK_SIZES}},
+        "blowup": lambda: {"chart": "torus PP", "n": 1, "sequence": 8, "sizes": {
+            f"{s}x{s}": measure_blowup(s, repeats) for s in BLOWUP_SIZES}},
+        "conformal": lambda: {"chart": "torus PP 256^2 -> disk 129; rect 129^2 -> rect 146^2",
+                              "n": 1, "sizes": measure_rescale(repeats)},
+        "surface": lambda: {"chart": "rect [-1, 1]^2", "n": 1, "sizes": {
+            f"{s}x{s}": measure_surface(s, repeats) for s in SURFACE_SIZES}},
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--out", required=True, help="JSON file to write or extend")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--sections", default=None,
+                    help="comma-separated sections to run (default: all)")
     args = ap.parse_args(argv)
     if args.repeats < 5:
         ap.error("--repeats must be at least 5")
+    builders = _sections(args.repeats)
+    names = list(builders) if args.sections is None else args.sections.split(",")
+    unknown = sorted(set(names) - set(builders))
+    if unknown:
+        ap.error(f"unknown sections {unknown}; choose from {sorted(builders)}")
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     runs = doc["runs"].setdefault(args.label, [])
-    runs.append({
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "scipy": scipy.__version__,
-                    "threads": {k: os.environ.get(k) for k in THREAD_VARS}},
-        "seed": SEED,
-        "dirac": {"chart": "torus AA", "n": N,
-                  "sizes": {f"{s}x{s}": measure_dirac(s, args.repeats) for s in SIZES}},
-        "torus": {"chart": "torus AA", "n": N,
-                  "sizes": {f"{s}x{s}": measure(s, args.repeats) for s in SIZES}},
-        "disk": {"chart": "disk radius 1", "n": 1,
-                 "sizes": {f"{s}x{s}": measure_disk(s, args.repeats) for s in DISK_SIZES}},
-        "blowup": {"chart": "torus PP", "n": 1, "sequence": 8,
-                   "sizes": {f"{s}x{s}": measure_blowup(s, args.repeats)
-                             for s in BLOWUP_SIZES}},
-        "conformal": {"chart": "torus PP 256^2 -> disk 129; rect 129^2 -> rect 146^2",
-                      "n": 1, "sizes": measure_rescale(args.repeats)},
-        "surface": {"chart": "rect [-1, 1]^2", "n": 1,
-                    "sizes": {f"{s}x{s}": measure_surface(s, args.repeats)
-                              for s in SURFACE_SIZES}},
-    })
+    run = {"machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                       "numpy": np.__version__, "scipy": scipy.__version__,
+                       "threads": {k: os.environ.get(k) for k in THREAD_VARS}},
+           "seed": SEED}
+    for name in names:
+        run[name] = builders[name]()
+    runs.append(run)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for chart in ("dirac", "torus", "disk", "blowup", "conformal", "surface"):
-        for size, layers in runs[-1][chart]["sizes"].items():
+    for chart in names:
+        for size, layers in run[chart]["sizes"].items():
             for name, t in layers.items():
-                entries = [run[chart]["sizes"][size][name] for run in runs]
+                entries = [r[chart]["sizes"][size][name] for r in runs if chart in r]
                 meds = [e["median_s"] for e in entries]
                 cpus = [e["cpu_median_s"] for e in entries if "cpu_median_s" in e]
                 cpu = f" cpu {1e3 * statistics.median(cpus):.2f} ms" if cpus else ""
